@@ -1,9 +1,10 @@
 // Micro-benchmarks of the distance metric substrate: exact vs banded
-// Levenshtein, q-gram, Jaccard and cosine throughput on realistic
-// attribute values.
+// Levenshtein, the one-to-many row kernel vs per-pair bounded calls,
+// q-gram, Jaccard and cosine throughput on realistic attribute values.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -95,6 +96,64 @@ BENCHMARK(BM_LevKernelBanded)
     ->Args({200, 2})
     ->Args({200, 10})
     ->Args({200, 50});
+
+// The matching build's value-pair table at cap 10 over one value set
+// (the sample values plus seeded typo variants): the Levenshtein
+// one-to-many row kernel against a per-pair BoundedDistance loop. One
+// iteration fills the whole triangle; items are value pairs.
+std::vector<std::string> TypoValues() {
+  dd::Rng rng(23);
+  std::vector<std::string> values;
+  for (int round = 0; round < 24; ++round) {
+    for (std::string v : SampleValues()) {
+      for (int e = 0; e < round % 6; ++e) {
+        v[rng.NextBounded(v.size())] =
+            static_cast<char>('a' + rng.NextBounded(26));
+      }
+      values.push_back(std::move(v));
+    }
+  }
+  return values;
+}
+
+void BM_LevTableOneToMany(benchmark::State& state) {
+  dd::LevenshteinMetric lev;
+  const auto strings = TypoValues();
+  std::vector<const std::string*> values;
+  for (const auto& s : strings) values.push_back(&s);
+  const std::size_t n = values.size();
+  std::vector<double> out(n);
+  for (auto _ : state) {
+    const auto rows = lev.OneToMany(values, 10.0);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      rows->Row(i, i + 1, n, out.data());
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * (n - 1) / 2));
+}
+BENCHMARK(BM_LevTableOneToMany);
+
+void BM_LevTablePairwise(benchmark::State& state) {
+  dd::LevenshteinMetric lev;
+  const auto values = TypoValues();
+  const std::size_t n = values.size();
+  std::vector<double> out(n);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        out[j - i - 1] = lev.BoundedDistance(values[i], values[j], 10.0);
+      }
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * (n - 1) / 2));
+}
+BENCHMARK(BM_LevTablePairwise);
 
 void BM_QGram(benchmark::State& state) {
   dd::QGramMetric qgram(static_cast<std::size_t>(state.range(0)));

@@ -78,17 +78,17 @@ void SampledMatchingBuilder::MaterializePairs(
   const std::size_t num_attrs = out->num_attributes();
   const std::uint64_t n = relation_->num_rows();
   std::atomic<std::uint64_t> metric_calls{0};
-  ParallelFor("approx_build.pairs", ks.size(), threads_,
-              [&](std::size_t, std::size_t begin, std::size_t end) {
-                std::vector<Level> levels(num_attrs);
-                std::uint64_t calls = 0;
-                for (std::size_t r = begin; r < end; ++r) {
-                  auto [i, j] = DecodeTriangularPair(ks[r], n);
-                  source_->Levels(i, j, levels.data(), &calls);
-                  out->SetTuple(offset + r, i, j, levels.data());
-                }
-                metric_calls.fetch_add(calls, std::memory_order_relaxed);
-              });
+  ParallelForTuples("approx_build.pairs", offset, offset + ks.size(),
+                    threads_, [&](std::size_t begin, std::size_t end) {
+                      std::vector<Level> levels(num_attrs);
+                      std::uint64_t calls = 0;
+                      for (std::size_t row = begin; row < end; ++row) {
+                        auto [i, j] = DecodeTriangularPair(ks[row - offset], n);
+                        source_->Levels(i, j, levels.data(), &calls);
+                        out->SetTuple(row, i, j, levels.data());
+                      }
+                      metric_calls.fetch_add(calls, std::memory_order_relaxed);
+                    });
   obs::MetricsRegistry::Global()
       .GetCounter("matching.distances_computed")
       .Add(metric_calls.load(std::memory_order_relaxed));

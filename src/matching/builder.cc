@@ -162,22 +162,22 @@ Result<MatchingRelation> BuildMatchingRelation(
 
   if (full) {
     out.ResizeRows(total_pairs);
-    ParallelFor("matching_build.pairs", total_pairs, threads,
-                [&](std::size_t, std::size_t begin, std::size_t end) {
-                  if (begin >= end) return;
-                  std::vector<Level> levels(num_attrs);
-                  std::uint64_t calls = 0;
-                  auto [i, j] = DecodeTriangularPair(begin, n);
-                  for (std::size_t k = begin; k < end; ++k) {
-                    source.Levels(i, j, levels.data(), &calls);
-                    out.SetTuple(k, i, j, levels.data());
-                    if (++j == n) {
-                      ++i;
-                      j = i + 1;
-                    }
-                  }
-                  metric_calls.fetch_add(calls, std::memory_order_relaxed);
-                });
+    ParallelForTuples("matching_build.pairs", 0, total_pairs, threads,
+                      [&](std::size_t begin, std::size_t end) {
+                        std::vector<Level> levels(num_attrs);
+                        std::uint64_t calls = 0;
+                        auto [i, j] = DecodeTriangularPair(begin, n);
+                        for (std::size_t k = begin; k < end; ++k) {
+                          source.Levels(i, j, levels.data(), &calls);
+                          out.SetTuple(k, i, j, levels.data());
+                          if (++j == n) {
+                            ++i;
+                            j = i + 1;
+                          }
+                        }
+                        metric_calls.fetch_add(calls,
+                                               std::memory_order_relaxed);
+                      });
     pairs_counter.Add(total_pairs);
     distance_counter.Add(metric_calls.load(std::memory_order_relaxed));
     DD_LOG(INFO) << "matching relation built: all " << total_pairs
@@ -202,17 +202,17 @@ Result<MatchingRelation> BuildMatchingRelation(
   }
   std::sort(ks.begin(), ks.end());
   out.ResizeRows(ks.size());
-  ParallelFor("matching_build.sampled", ks.size(), threads,
-              [&](std::size_t, std::size_t begin, std::size_t end) {
-                std::vector<Level> levels(num_attrs);
-                std::uint64_t calls = 0;
-                for (std::size_t r = begin; r < end; ++r) {
-                  auto [i, j] = DecodeTriangularPair(ks[r], n);
-                  source.Levels(i, j, levels.data(), &calls);
-                  out.SetTuple(r, i, j, levels.data());
-                }
-                metric_calls.fetch_add(calls, std::memory_order_relaxed);
-              });
+  ParallelForTuples("matching_build.sampled", 0, ks.size(), threads,
+                    [&](std::size_t begin, std::size_t end) {
+                      std::vector<Level> levels(num_attrs);
+                      std::uint64_t calls = 0;
+                      for (std::size_t r = begin; r < end; ++r) {
+                        auto [i, j] = DecodeTriangularPair(ks[r], n);
+                        source.Levels(i, j, levels.data(), &calls);
+                        out.SetTuple(r, i, j, levels.data());
+                      }
+                      metric_calls.fetch_add(calls, std::memory_order_relaxed);
+                    });
   pairs_counter.Add(ks.size());
   distance_counter.Add(metric_calls.load(std::memory_order_relaxed));
   DD_LOG(INFO) << "matching relation built: sampled " << ks.size() << " of "

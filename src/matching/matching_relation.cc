@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 
 namespace dd {
 
@@ -32,12 +33,23 @@ void MatchingRelation::ResizeRows(std::size_t rows) {
 void MatchingRelation::SetTuple(std::size_t row, std::uint32_t i,
                                 std::uint32_t j, const Level* levels) {
   for (std::size_t a = 0; a < columns_.size(); ++a) {
-    // SetShared: parallel builders fill disjoint row ranges, and with
-    // 4-bit packing the two rows sharing a byte may straddle a chunk
-    // boundary (packed_column.h).
-    columns_[a].SetShared(row, levels[a]);
+    columns_[a].Set(row, levels[a]);
   }
   pairs_[row] = {i, j};
+}
+
+void ParallelForTuples(
+    const char* phase, std::size_t first, std::size_t last,
+    std::size_t threads,
+    const std::function<void(std::size_t begin, std::size_t end)>& fn) {
+  if (first >= last) return;
+  const std::size_t base = first & ~std::size_t{1};
+  ParallelFor(phase, (last - base + 1) / 2, threads,
+              [&](std::size_t, std::size_t begin, std::size_t end) {
+                const std::size_t lo = std::max(first, base + 2 * begin);
+                const std::size_t hi = std::min(last, base + 2 * end);
+                if (lo < hi) fn(lo, hi);
+              });
 }
 
 void MatchingRelation::Reserve(std::size_t rows) {

@@ -11,6 +11,7 @@
 #define DD_MATCHING_MATCHING_RELATION_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,9 +63,11 @@ class MatchingRelation {
                 const std::vector<Level>& levels);
 
   // Direct-write construction for parallel builders: size the relation
-  // once, then fill disjoint row ranges concurrently with SetTuple.
-  // Writing row k with the k-th pair of the enumeration reproduces the
-  // sequential AddTuple layout exactly, whatever the chunking.
+  // once, then fill disjoint row ranges concurrently with SetTuple,
+  // split by ParallelForTuples so that no two writers share a byte of a
+  // 4-bit column. Writing row k with the k-th pair of the enumeration
+  // reproduces the sequential AddTuple layout exactly, whatever the
+  // chunking.
   void ResizeRows(std::size_t rows);
   void SetTuple(std::size_t row, std::uint32_t i, std::uint32_t j,
                 const Level* levels);
@@ -104,6 +107,15 @@ class MatchingRelation {
   std::vector<PackedColumn> columns_;  // columns_[attr].Get(row)
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_;
 };
+
+// ParallelFor over the matching rows [first, last) with every chunk
+// boundary on an even row: the two rows of a 4-bit PackedColumn byte
+// always fall in the same chunk, so parallel SetTuple calls never write
+// the same byte. fn(begin, end) receives absolute rows.
+void ParallelForTuples(
+    const char* phase, std::size_t first, std::size_t last,
+    std::size_t threads,
+    const std::function<void(std::size_t begin, std::size_t end)>& fn);
 
 }  // namespace dd
 

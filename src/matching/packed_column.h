@@ -60,7 +60,9 @@ class PackedColumn {
     return data_[row];
   }
 
-  // Plain store; single-writer contexts only (append, compaction).
+  // Plain store. Concurrent writers must not share a byte: the parallel
+  // builds split rows at even boundaries (ParallelForTuples in
+  // matching_relation.h).
   void Set(std::size_t row, Level v) {
     if (packed4_) {
       std::uint8_t& byte = data_[row >> 1];
@@ -71,30 +73,6 @@ class PackedColumn {
       }
     } else {
       data_[row] = v;
-    }
-  }
-
-  // Store for the parallel direct-write build (MatchingRelation::
-  // SetTuple): writers own disjoint row ranges, but with 4-bit packing
-  // the two rows sharing a byte can straddle a chunk boundary, so the
-  // nibble is merged with a relaxed CAS. 8-bit columns store plainly.
-  // The ParallelFor join publishes the writes to the caller.
-  void SetShared(std::size_t row, Level v) {
-    if (!packed4_) {
-      __atomic_store_n(&data_[row], v, __ATOMIC_RELAXED);
-      return;
-    }
-    std::uint8_t* byte = &data_[row >> 1];
-    const int shift = (row & 1) ? 4 : 0;
-    const std::uint8_t keep = static_cast<std::uint8_t>(0x0F << (4 - shift));
-    std::uint8_t old = __atomic_load_n(byte, __ATOMIC_RELAXED);
-    while (true) {
-      const std::uint8_t merged =
-          static_cast<std::uint8_t>((old & keep) | (v << shift));
-      if (__atomic_compare_exchange_n(byte, &old, merged, /*weak=*/true,
-                                      __ATOMIC_RELAXED, __ATOMIC_RELAXED)) {
-        return;
-      }
     }
   }
 

@@ -39,15 +39,25 @@ std::unique_ptr<ValuePairLevelTable> ValuePairLevelTable::Build(
   table->table_.resize(cells);
   const double cap = static_cast<double>(dmax) / scale;
   Level* out = table->table_.data();
-  const std::vector<const std::string*>& values = index.values;
+  const std::unique_ptr<OneToManyDistances> rows =
+      metric.OneToMany(index.values, cap);
   ParallelFor("value_cache.build", cells, threads,
               [&](std::size_t, std::size_t begin, std::size_t end) {
+                if (begin >= end) return;
+                // The chunk covers the tail of row i, whole rows, then
+                // the head of a last row, in runs of at most kRun cells.
+                constexpr std::uint64_t kRun = 1024;
+                double raw[kRun] = {};
                 auto [i, j] = DecodeTriangularPair(begin, d);
-                for (std::size_t k = begin; k < end; ++k) {
-                  const double raw =
-                      metric.BoundedDistance(*values[i], *values[j], cap);
-                  out[k] = BucketDistance(raw, scale, dmax);
-                  if (++j == d) {
+                for (std::size_t k = begin; k < end;) {
+                  const std::uint64_t j_end =
+                      std::min({d, j + (end - k), j + kRun});
+                  rows->Row(i, j, j_end, raw);
+                  for (std::uint64_t r = 0; r < j_end - j; ++r) {
+                    out[k++] = BucketDistance(raw[r], scale, dmax);
+                  }
+                  j = static_cast<std::uint32_t>(j_end);
+                  if (j == d) {
                     ++i;
                     j = i + 1;
                   }

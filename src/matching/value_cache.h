@@ -8,8 +8,10 @@
 // distinct (value_i, value_j) distance is computed exactly once.
 //
 // Determinism: the table is a pure function of the column contents and
-// the metric configuration — the same BoundedDistance cap and
-// BucketDistance mapping the direct path uses — so cached and uncached
+// the metric configuration. It is filled through the metric's
+// one-to-many entry point (DistanceMetric::OneToMany) at the same cap
+// and with the same BucketDistance mapping the direct path uses, and
+// both honour the BoundedDistance contract, so cached and uncached
 // builds produce bit-identical matching relations at any thread count.
 
 #ifndef DD_MATCHING_VALUE_CACHE_H_

@@ -1,8 +1,12 @@
 #include "metric/levenshtein.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "metric/metric.h"
@@ -34,37 +38,52 @@ std::size_t ReferenceDp(std::string_view a, std::string_view b) {
   return prev[b.size()];
 }
 
-std::size_t Myers64(std::string_view a, std::string_view b) {
-  // Pattern = the shorter string (must fit one 64-bit word of column
-  // deltas), text = the longer one.
-  if (a.size() > b.size()) std::swap(a, b);
-  const std::size_t m = a.size();
-  if (m == 0) return b.size();
-  std::uint64_t peq[256] = {0};
-  for (std::size_t i = 0; i < m; ++i) {
-    peq[static_cast<unsigned char>(a[i])] |= std::uint64_t{1} << i;
+void Pattern::Assign(std::string_view pattern) {
+  for (std::size_t i = 0; i < size_; ++i) {
+    peq_[static_cast<unsigned char>(chars_[i])] = 0;
   }
+  size_ = pattern.size();
+  for (std::size_t i = 0; i < size_; ++i) {
+    chars_[i] = pattern[i];
+    peq_[static_cast<unsigned char>(pattern[i])] |= std::uint64_t{1} << i;
+  }
+}
+
+std::size_t Myers64(const Pattern& pattern, std::string_view text,
+                    std::size_t cap) {
+  const std::size_t m = pattern.size();
+  const std::size_t n = text.size();
+  if (m == 0) return n <= cap ? n : cap + 1;
+  // The final distance is at least score - (n - 1 - j) after text
+  // character j, so stop once score + j exceeds cap + n - 1.
+  const std::size_t limit = cap >= kNoCap - n ? kNoCap : cap + n - 1;
   std::uint64_t vp =
       m == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << m) - 1;
   std::uint64_t vn = 0;
-  const std::uint64_t last = std::uint64_t{1} << (m - 1);
+  const std::size_t last = m - 1;
   std::size_t score = m;
-  for (const char c : b) {
-    const std::uint64_t eq = peq[static_cast<unsigned char>(c)];
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t eq = pattern.Mask(text[j]);
     const std::uint64_t d0 = (((eq & vp) + vp) ^ vp) | eq | vn;
     std::uint64_t hp = vn | ~(d0 | vp);
     std::uint64_t hn = d0 & vp;
-    if (hp & last) {
-      ++score;
-    } else if (hn & last) {
-      --score;
-    }
+    // Branch-free: the last row's horizontal delta is +1, -1 or 0.
+    score += (hp >> last) & 1;
+    score -= (hn >> last) & 1;
+    if (score + j > limit) return cap + 1;
     hp = (hp << 1) | 1;
     hn <<= 1;
     vp = hn | ~(d0 | hp);
     vn = d0 & hp;
   }
-  return score;
+  return score <= cap ? score : cap + 1;
+}
+
+std::size_t Myers64(std::string_view a, std::string_view b, std::size_t cap) {
+  if (a.size() > b.size()) std::swap(a, b);
+  thread_local Pattern pattern;
+  pattern.Assign(a);
+  return Myers64(pattern, b, cap);
 }
 
 std::size_t Banded(std::string_view a, std::string_view b, std::size_t cap) {
@@ -103,6 +122,36 @@ std::size_t Banded(std::string_view a, std::string_view b, std::size_t cap) {
   return d > cap ? cap + 1 : static_cast<std::size_t>(d);
 }
 
+int CharBin(unsigned char c) {
+  if (c >= 'a' && c <= 'z') return c - 'a';
+  if (c >= 'A' && c <= 'Z') return c - 'A';
+  if (c >= '0' && c <= '9') return 26 + (c - '0');
+  return 36 + c % 28;
+}
+
+CharHistogram Histogram(std::string_view s) {
+  CharHistogram h{};
+  for (const char c : s) {
+    std::uint8_t& bin = h[CharBin(static_cast<unsigned char>(c))];
+    if (bin < 255) ++bin;
+  }
+  return h;
+}
+
+std::size_t BagDistance(const CharHistogram& a, const CharHistogram& b) {
+  // Saturation, like folding, only shrinks per-bin differences. With
+  // L1 = |A \ B| + |B \ A| and |A| - |B| = |A \ B| - |B \ A|, the
+  // larger side is (L1 + ||A| - |B||) / 2 — sums of absolute byte
+  // differences, which compile to psadbw.
+  int l1 = 0;
+  int size_diff = 0;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    l1 += std::abs(a[k] - b[k]);
+    size_diff += a[k] - b[k];
+  }
+  return static_cast<std::size_t>((l1 + std::abs(size_diff)) / 2);
+}
+
 }  // namespace lev
 
 double LevenshteinMetric::Distance(std::string_view a,
@@ -121,20 +170,76 @@ double LevenshteinMetric::BoundedDistance(std::string_view a,
   if (a == b) return 0.0;
   const std::size_t max_len = std::max(a.size(), b.size());
   // A cap at or above the longer length can never be exceeded — and the
-  // double -> size_t conversion below would be unsafe for huge caps.
-  if (cap >= static_cast<double>(max_len)) return Distance(a, b);
+  // double -> size_t conversion below would be unsafe for huge or NaN
+  // caps. A NaN cap means no cap.
+  if (std::isnan(cap) || cap >= static_cast<double>(max_len)) {
+    return Distance(a, b);
+  }
   const auto capped = static_cast<std::size_t>(cap);  // floor: d <= floor(cap) <=> d <= cap
   const std::size_t min_len = std::min(a.size(), b.size());
   if (max_len - min_len > capped) return cap + 1.0;
-  // The bit-parallel kernel is O(max_len) regardless of the cap — when
-  // the shorter side fits a word it beats the O(len·cap) band even for
-  // tiny caps. Returning the exact distance above the cap is allowed by
-  // the BoundedDistance contract.
-  if (min_len <= 64) {
-    return static_cast<double>(lev::Myers64(a, b));
-  }
-  const std::size_t d = lev::Banded(a, b, capped);
+  const std::size_t d = min_len <= 64 ? lev::Myers64(a, b, capped)
+                                      : lev::Banded(a, b, capped);
   return d > capped ? cap + 1.0 : static_cast<double>(d);
+}
+
+namespace {
+
+// Rows of the value-pair table: each row value's Myers pattern is built
+// once, and the length difference and the 64-bin bag distance reject
+// most pairs before any kernel runs.
+class LevenshteinRows : public OneToManyDistances {
+ public:
+  LevenshteinRows(const LevenshteinMetric& metric,
+                  const std::vector<const std::string*>& values, double cap)
+      : metric_(metric),
+        values_(values),
+        cap_(cap < 0.0 ? 0.0 : cap),
+        // No cap (NaN, or too large to matter) leaves every bound inert.
+        capped_(std::isnan(cap_) || cap_ >= 1e18
+                    ? lev::kNoCap
+                    : static_cast<std::size_t>(cap_)) {
+    histograms_.reserve(values.size());
+    for (const std::string* v : values) histograms_.push_back(lev::Histogram(*v));
+  }
+
+  void Row(std::size_t i, std::size_t j_begin, std::size_t j_end,
+           double* out) const override {
+    const std::string& a = *values_[i];
+    lev::Pattern pattern;
+    if (a.size() <= 64) pattern.Assign(a);
+    for (std::size_t j = j_begin; j < j_end; ++j) {
+      const std::string& b = *values_[j];
+      double& result = out[j - j_begin];
+      const std::size_t len_diff =
+          a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
+      if (len_diff > capped_ ||
+          lev::BagDistance(histograms_[i], histograms_[j]) > capped_) {
+        result = cap_ + 1.0;
+      } else if (a.size() > 64) {
+        // Patterns longer than a word: the per-pair path (the band, or
+        // Myers with the shorter side as the pattern).
+        result = metric_.BoundedDistance(a, b, cap_);
+      } else {
+        const std::size_t d = lev::Myers64(pattern, b, capped_);
+        result = d > capped_ ? cap_ + 1.0 : static_cast<double>(d);
+      }
+    }
+  }
+
+ private:
+  const LevenshteinMetric& metric_;
+  const std::vector<const std::string*>& values_;
+  double cap_;
+  std::size_t capped_;
+  std::vector<lev::CharHistogram> histograms_;
+};
+
+}  // namespace
+
+std::unique_ptr<OneToManyDistances> LevenshteinMetric::OneToMany(
+    const std::vector<const std::string*>& values, double cap) const {
+  return std::make_unique<LevenshteinRows>(*this, values, cap);
 }
 
 }  // namespace dd

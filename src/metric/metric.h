@@ -29,6 +29,24 @@ namespace dd {
 // does.
 enum class BlockingFamily { kNone, kTokenSet, kQGram, kEdit, kNumeric };
 
+// BoundedDistance from one value of a fixed set to a run of later
+// values — the row form the matching build's value-pair table
+// (matching/value_cache.h) evaluates. Made by DistanceMetric::OneToMany
+// once per set, so an implementation can prepare per-value data once.
+class OneToManyDistances {
+ public:
+  OneToManyDistances() = default;
+  OneToManyDistances(const OneToManyDistances&) = delete;
+  OneToManyDistances& operator=(const OneToManyDistances&) = delete;
+  virtual ~OneToManyDistances() = default;
+
+  // out[j - j_begin] = BoundedDistance(*values[i], *values[j], cap) for
+  // every j in [j_begin, j_end), under BoundedDistance's contract.
+  // Safe to call concurrently.
+  virtual void Row(std::size_t i, std::size_t j_begin, std::size_t j_end,
+                   double* out) const = 0;
+};
+
 // A distance function on attribute values. Implementations must be
 // symmetric, non-negative, and return 0 for identical inputs.
 class DistanceMetric {
@@ -50,15 +68,21 @@ class DistanceMetric {
   //    the cap: matching/builder.cc maps every raw > cap to the same
   //    saturated level, so the choice of sentinel cannot change a
   //    matching relation.
-  // This licence is what enables banded early exit (O(len·cap) instead
-  // of O(len²)) and lets exact fast paths (e.g. the bit-parallel
-  // Levenshtein kernel) skip the capping entirely.
+  // This licence is what lets the Levenshtein kernels stop at cap + 1
+  // (banded O(len·cap) instead of O(len²), and the bit-parallel kernel
+  // once the remaining text cannot bring the distance back to the cap).
   // Default falls back to the exact distance.
   virtual double BoundedDistance(std::string_view a, std::string_view b,
                                  double cap) const {
     (void)cap;
     return Distance(a, b);
   }
+
+  // One-to-many entry point over `values` at one cap; `values` and this
+  // metric must outlive the result. Default: a loop over
+  // BoundedDistance.
+  virtual std::unique_ptr<OneToManyDistances> OneToMany(
+      const std::vector<const std::string*>& values, double cap) const;
 
   // True when distances always lie in [0, 1].
   virtual bool is_normalized() const { return false; }
@@ -73,15 +97,21 @@ class DistanceMetric {
 // Levenshtein (unit-cost insert/delete/substitute) edit distance.
 // Distance uses the Myers bit-parallel kernel when the shorter string
 // fits a 64-bit word, else the two-row DP. BoundedDistance additionally
-// applies the length-difference lower bound and, for long strings, a
-// diagonal band of width 2*cap+1 that returns cap + 1 as soon as the
-// distance provably exceeds cap (kernels in metric/levenshtein.h).
+// applies the length-difference lower bound, runs the Myers kernel
+// capped, and for long strings uses a diagonal band of width 2*cap+1;
+// both return cap + 1 as soon as the distance provably exceeds cap. A
+// NaN cap means no cap. OneToMany builds each row value's Myers pattern
+// once and rejects pairs by the length difference and a 64-bin bag
+// distance first (kernels in metric/levenshtein.h).
 class LevenshteinMetric : public DistanceMetric {
  public:
   std::string_view name() const override { return "levenshtein"; }
   double Distance(std::string_view a, std::string_view b) const override;
   double BoundedDistance(std::string_view a, std::string_view b,
                          double cap) const override;
+  std::unique_ptr<OneToManyDistances> OneToMany(
+      const std::vector<const std::string*>& values,
+      double cap) const override;
   BlockingFamily blocking_family() const override {
     return BlockingFamily::kEdit;
   }

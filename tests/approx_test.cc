@@ -517,6 +517,42 @@ TEST(ApproxDeterminismTest, SampledModeBitIdenticalAcrossThreads) {
   }
 }
 
+// A tail grown in two steps, the first leaving an odd number of rows,
+// starts its second fill mid-byte of the 4-bit columns; it must still
+// match a one-thread build.
+TEST(SampledBuilderTest, OddOffsetGrowMatchesSingleThread) {
+  CoraOptions coptions;
+  coptions.num_entities = 40;
+  const GeneratedData cora = GenerateCora(coptions);
+  const RuleSpec rule{{"author", "title"}, {"venue"}};
+  const auto build = [&](std::size_t threads) {
+    MatchingOptions matching;
+    matching.dmax = 8;
+    matching.threads = threads;
+    ApproxOptions approx;
+    approx.sample_target = 1001;
+    approx.seed = 78;
+    auto sample = SampledMatchingBuilder::Build(
+        cora.relation, rule.AllAttributes(), matching, approx);
+    if (!sample.ok()) return std::unique_ptr<SampledMatchingBuilder>();
+    EXPECT_EQ((*sample)->tail_sampled() % 2, 1u);
+    EXPECT_GT((*sample)->GrowTo(2500), 0u);
+    return std::move(*sample);
+  };
+  const auto reference = build(1);
+  ASSERT_NE(reference, nullptr);
+  for (const std::size_t threads : {2u, 7u}) {
+    const auto sample = build(threads);
+    ASSERT_NE(sample, nullptr);
+    EXPECT_EQ(SerializeMatchingRelation(sample->tail()),
+              SerializeMatchingRelation(reference->tail()))
+        << "threads=" << threads;
+    EXPECT_EQ(SerializeMatchingRelation(sample->near()),
+              SerializeMatchingRelation(reference->near()))
+        << "threads=" << threads;
+  }
+}
+
 // ---------------------------------------------------------------------
 // JSON surface
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
+#include "matching/serialization.h"
 #include "matching/value_cache.h"
 #include "metric/metric.h"
 
@@ -194,6 +195,81 @@ TEST(ValueCacheTest, BuildRespectsCellBudget) {
                                        /*pairs_to_compute=*/1,
                                        /*max_cells=*/1u << 20, /*threads=*/1),
             nullptr);
+}
+
+// A table over empty strings and values longer than one 64-bit word
+// (the one-to-many path's per-pair fallback) must agree with the direct
+// per-pair ComputeLevel path on every row pair.
+TEST(ValueCacheTest, EmptyAndLongValuesMatchDirectPath) {
+  Relation relation(Schema({Attribute{"s", AttributeType::kString}}));
+  const std::string base =
+      "Proceedings of the International Conference on Data Engineering, "
+      "Washington DC, USA";  // 83 bytes
+  std::vector<std::string> column = {
+      "", "", "a", base, base + "!", base.substr(0, 64), base.substr(0, 65),
+      base.substr(0, 63), base.substr(2), base + base.substr(0, 47)};
+  std::string typo = base;
+  typo[10] = 'X';
+  typo[50] = 'Y';
+  column.push_back(typo);
+  column.push_back(base.substr(0, 60) + "ZZZ");
+  column.push_back(base.substr(0, 64));  // duplicate value
+  for (std::string& value : column) ASSERT_TRUE(relation.AddRow({value}).ok());
+
+  MatchingOptions options;
+  options.dmax = 10;
+  auto resolved = ResolveMatchingMetrics(relation.schema(), {"s"}, options);
+  ASSERT_TRUE(resolved.ok());
+  const AttributeValueIndex index = InternColumn(relation, 0);
+  for (const std::size_t threads : {1u, 3u}) {
+    auto table = ValuePairLevelTable::Build(
+        index, *resolved->metrics[0], resolved->scales[0], options.dmax,
+        /*pairs_to_compute=*/1u << 20, /*max_cells=*/1u << 20, threads);
+    ASSERT_NE(table, nullptr);
+    for (std::uint32_t i = 0; i < relation.num_rows(); ++i) {
+      for (std::uint32_t j = i + 1; j < relation.num_rows(); ++j) {
+        EXPECT_EQ(table->LevelOf(index.row_ids[i], index.row_ids[j]),
+                  resolved->ComputeLevel(relation, i, j, 0))
+            << "rows " << i << "," << j << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// Parallel fills cut chunks at even rows so 4-bit column bytes are
+// never shared. With an odd number of pairs the last byte is half used;
+// full and sampled builds must still serialize identically at any
+// thread count, with and without the value cache.
+TEST(MatchingBuilderTest, OddPairCountBitIdenticalAcrossThreads) {
+  CoraOptions coptions;
+  coptions.num_entities = 20;
+  const GeneratedData cora = GenerateCora(coptions);
+  auto sliced = cora.relation.Slice(0, 30);  // 435 pairs
+  ASSERT_TRUE(sliced.ok());
+  const std::vector<std::string> attrs = {"author", "title", "venue"};
+  for (const bool value_cache : {true, false}) {
+    for (const std::uint64_t max_pairs : {std::uint64_t{0}, std::uint64_t{333}}) {
+      std::string reference;
+      for (const std::size_t threads : {1u, 2u, 7u}) {
+        MatchingOptions options;
+        options.dmax = 8;
+        options.max_pairs = max_pairs;
+        options.threads = threads;
+        options.value_cache = value_cache;
+        auto m = BuildMatchingRelation(*sliced, attrs, options);
+        ASSERT_TRUE(m.ok());
+        ASSERT_EQ(m->num_tuples() % 2, 1u);
+        const std::string bytes = SerializeMatchingRelation(*m);
+        if (threads == 1) {
+          reference = bytes;
+        } else {
+          EXPECT_EQ(bytes, reference)
+              << "threads=" << threads << " max_pairs=" << max_pairs
+              << " value_cache=" << value_cache;
+        }
+      }
+    }
+  }
 }
 
 TEST(MatchingRelationTest, IndexOf) {

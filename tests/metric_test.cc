@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "metric/levenshtein.h"
 
@@ -154,6 +156,201 @@ TEST(LevenshteinKernelTest, BoundedDistanceLevelEquivalent) {
       ASSERT_EQ(frac, exact);
     } else {
       ASSERT_GT(frac, 2.7);
+    }
+  }
+}
+
+// A NaN cap means no cap: the exact distance, never an out-of-range
+// double -> size_t conversion.
+TEST(LevenshteinTest, NanCapReturnsExactDistance) {
+  LevenshteinMetric lev;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::string long_a(80, 'a');
+  const std::string long_b = std::string(70, 'a') + "bbbbbbbbbbbbbbb";
+  EXPECT_EQ(lev.BoundedDistance("kitten", "sitting", nan), 3.0);
+  EXPECT_EQ(lev.BoundedDistance("", "abcdef", nan), 6.0);
+  EXPECT_EQ(lev.BoundedDistance(long_a, long_b, nan),
+            lev.Distance(long_a, long_b));
+  std::vector<const std::string*> values = {&long_a, &long_b};
+  double row = 0.0;
+  lev.OneToMany(values, nan)->Row(0, 1, 2, &row);
+  EXPECT_EQ(row, lev.Distance(long_a, long_b));
+}
+
+// ---------------------------------------------------------------------
+// Capped kernels and the one-to-many path. Every result must be exact
+// when the distance is <= cap and > cap otherwise. Lengths cross the
+// 64-byte word boundary; some pairs differ only by bytes of the same
+// 64-bin fold, where the bag-distance bound sees no difference at all.
+
+namespace {
+
+// `s` with about half of its bytes swapped for another byte of the
+// same CharBin, plus up to three random edits.
+std::string SameBinVariant(Rng& rng, const std::string& s) {
+  std::string out = s;
+  for (char& c : out) {
+    if (!rng.NextBool(0.5)) continue;
+    std::vector<char> same;
+    for (int x = 0; x < 256; ++x) {
+      if (lev::CharBin(static_cast<unsigned char>(x)) ==
+          lev::CharBin(static_cast<unsigned char>(c))) {
+        same.push_back(static_cast<char>(x));
+      }
+    }
+    c = same[rng.NextBounded(same.size())];
+  }
+  const std::size_t edits = rng.NextBounded(4);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t at = rng.NextBounded(out.size() + 1);
+    const char c = static_cast<char>(rng.NextBounded(256));
+    if (out.empty() || rng.NextBool(0.5)) {
+      out.insert(out.begin() + static_cast<std::ptrdiff_t>(at), c);
+    } else {
+      out.erase(std::min(at, out.size() - 1), 1);
+    }
+  }
+  return out;
+}
+
+// Values of lengths 0..130 over alphabets of 4 and 256 bytes, half of
+// them same-bin variants of an earlier value.
+std::vector<std::string> KernelTestValues(Rng& rng, std::size_t count) {
+  std::vector<std::string> values;
+  for (std::size_t v = 0; v < count; ++v) {
+    if (v % 2 == 1) {
+      values.push_back(SameBinVariant(rng, values[rng.NextBounded(v)]));
+    } else {
+      values.push_back(
+          RandomBytes(rng, rng.NextBounded(131), v % 4 == 0 ? 4 : 256));
+    }
+  }
+  return values;
+}
+
+void ExpectWithinContract(double got, std::size_t exact, double cap,
+                          const std::string& label) {
+  if (static_cast<double>(exact) <= cap || std::isnan(cap)) {
+    ASSERT_EQ(got, static_cast<double>(exact)) << label;
+  } else {
+    ASSERT_GT(got, cap) << label;
+  }
+}
+
+}  // namespace
+
+TEST(LevenshteinKernelTest, CappedMyersMatchesReferenceDp) {
+  Rng rng(74);
+  const std::vector<std::string> values = KernelTestValues(rng, 400);
+  lev::Pattern pattern;  // reassigned per pair: stale slots must clear
+  for (std::size_t trial = 0; trial < 3000; ++trial) {
+    std::string a = values[rng.NextBounded(values.size())];
+    if (a.size() > 64) a.resize(rng.NextBounded(65));  // the pattern side
+    const std::string b = trial % 3 == 0
+                              ? SameBinVariant(rng, a)
+                              : values[rng.NextBounded(values.size())];
+    const std::size_t exact = lev::ReferenceDp(a, b);
+    ASSERT_LE(lev::BagDistance(lev::Histogram(a), lev::Histogram(b)), exact);
+    pattern.Assign(a);
+    for (const std::size_t cap :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{5},
+          std::size_t{10}, std::size_t{50}, std::size_t{131}, lev::kNoCap}) {
+      const std::string label = "cap=" + std::to_string(cap) + " trial " +
+                                std::to_string(trial);
+      const std::size_t want = exact <= cap ? exact : cap + 1;
+      ASSERT_EQ(lev::Myers64(pattern, b, cap), want) << label;
+      ASSERT_EQ(lev::Myers64(a, b, cap), want) << label;
+      ASSERT_EQ(lev::Myers64(b, a, cap), want) << label;
+    }
+  }
+}
+
+TEST(LevenshteinOneToManyTest, RowsMatchReferenceDp) {
+  Rng rng(75);
+  const std::vector<std::string> strings = KernelTestValues(rng, 120);
+  std::vector<const std::string*> values;
+  for (const std::string& s : strings) values.push_back(&s);
+  const std::size_t n = values.size();
+  std::vector<std::size_t> exact(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      exact[i * n + j] = lev::ReferenceDp(*values[i], *values[j]);
+    }
+  }
+  LevenshteinMetric metric;
+  for (const double cap : {0.0, 1.0, 2.0, 5.0, 10.0, 50.0, 2.7, 131.0, 1e9,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    const auto rows = metric.OneToMany(values, cap);
+    std::vector<double> out(n);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      // A full row, then a run from its middle (as a ParallelFor chunk
+      // boundary would cut it).
+      rows->Row(i, i + 1, n, out.data());
+      for (std::size_t j = i + 1; j < n; ++j) {
+        ExpectWithinContract(out[j - i - 1], exact[i * n + j], cap,
+                             "cap=" + std::to_string(cap) + " (" +
+                                 std::to_string(i) + "," + std::to_string(j) +
+                                 ")");
+      }
+      const std::size_t mid = (i + 1 + n) / 2;
+      rows->Row(i, mid, n, out.data());
+      for (std::size_t j = mid; j < n; ++j) {
+        ExpectWithinContract(out[j - mid], exact[i * n + j], cap, "mid run");
+      }
+    }
+  }
+}
+
+// The row kernel is called from ParallelFor chunks in the matching
+// build; concurrent rows must agree with serial ones.
+TEST(LevenshteinOneToManyTest, ParallelRowsMatchSerial) {
+  Rng rng(76);
+  const std::vector<std::string> strings = KernelTestValues(rng, 150);
+  std::vector<const std::string*> values;
+  for (const std::string& s : strings) values.push_back(&s);
+  const std::size_t n = values.size();
+  LevenshteinMetric metric;
+  const auto rows = metric.OneToMany(values, 10.0);
+  std::vector<double> serial(n * n, -1.0);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    rows->Row(i, i + 1, n, &serial[i * n + i + 1]);
+  }
+  for (const std::size_t threads : {2u, 7u}) {
+    std::vector<double> parallel(n * n, -1.0);
+    ParallelFor(n - 1, threads,
+                [&](std::size_t, std::size_t begin, std::size_t end) {
+                  for (std::size_t i = begin; i < end; ++i) {
+                    rows->Row(i, i + 1, n, &parallel[i * n + i + 1]);
+                  }
+                });
+    EXPECT_EQ(parallel, serial) << "threads=" << threads;
+  }
+}
+
+// Metrics without an override get the default one-to-many loop, which
+// must equal BoundedDistance pair by pair.
+TEST(OneToManyDefaultTest, MatchesPairwiseBoundedDistance) {
+  const std::vector<std::string> strings = {
+      "", "a", "abc", "West Wood Hotel", "Fifth Avenue, 61st Street",
+      "5th Avenue, 61st St.", "Chicago, IL", "chicago", "12", "12.5", "-3",
+      "1e3", "abc def abc"};
+  std::vector<const std::string*> values;
+  for (const std::string& s : strings) values.push_back(&s);
+  const std::size_t n = values.size();
+  for (const char* name : {"qgram2", "qgram3", "jaccard", "numeric_abs"}) {
+    auto metric = MetricRegistry::Default().Create(name);
+    ASSERT_TRUE(metric.ok());
+    for (const double cap : {0.0, 0.5, 3.0, 1e9}) {
+      const auto rows = (*metric)->OneToMany(values, cap);
+      std::vector<double> out(n);
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        rows->Row(i, i + 1, n, out.data());
+        for (std::size_t j = i + 1; j < n; ++j) {
+          EXPECT_EQ(out[j - i - 1],
+                    (*metric)->BoundedDistance(*values[i], *values[j], cap))
+              << name << " cap=" << cap << " (" << i << "," << j << ")";
+        }
+      }
     }
   }
 }
