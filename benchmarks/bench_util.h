@@ -70,7 +70,8 @@ std::vector<std::size_t> ThreadSweep(
 std::vector<std::size_t> ScalabilitySizes();
 
 // DetermineOptions for the named approach: "DA+PA", "DA+PAP", "DAP+PAP"
-// (DA+PAP uses mid-first, DAP+PAP top-first, per the paper §V).
+// (DA+PAP uses mid-first, DAP+PAP top-first, per the paper §V), always
+// on the paper-faithful "scan" provider.
 DetermineOptions ApproachOptions(const std::string& approach,
                                  std::size_t top_l = 1);
 

@@ -38,6 +38,7 @@ int main() {
       opts.rhs_algorithm = dd::RhsAlgorithm::kPap;
       opts.order = c.order;
       opts.top_l = l;
+      opts.provider = "scan";  // Table V times the paper's scan cost.
       auto result = dd::DetermineThresholds(w.matching, w.rule, opts);
       if (!result.ok()) return 1;
       std::printf(" %13.3fs", result->elapsed_seconds);

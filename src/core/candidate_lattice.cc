@@ -40,14 +40,29 @@ CandidateLattice::CandidateLattice(std::size_t dims, int dmax)
   DD_CHECK_GE(dmax, 1);
   const std::size_t size = LatticeSize(dims, dmax);
   DD_CHECK_LE(size, std::size_t{1} << 28);  // Guard runaway lattices.
-  alive_.assign(size, 1);
+  const std::size_t base = static_cast<std::size_t>(dmax) + 1;
+  strides_.resize(dims);
+  for (std::size_t d = 0, stride = 1; d < dims; ++d, stride *= base) {
+    strides_[d] = stride;
+  }
+  // Level sums fit: size <= 2^28 bounds dims * dmax far below kKilled.
+  const unsigned max_sum = static_cast<unsigned>(dims) * dmax;
+  state_.resize(size);
+  alive_by_sum_.assign(max_sum + 1, 0);
+  for (std::size_t i = 0; i < size; ++i) {
+    state_[i] = static_cast<std::uint16_t>(
+        i == 0 ? 0 : i % base + state_[i / base]);
+    ++alive_by_sum_[state_[i]];
+  }
+  floor_ = max_sum + 1;
   alive_count_ = size;
 }
 
 bool CandidateLattice::Kill(std::size_t idx) {
-  DD_CHECK_LT(idx, alive_.size());
-  if (alive_[idx] == 0) return false;
-  alive_[idx] = 0;
+  DD_CHECK_LT(idx, state_.size());
+  if (state_[idx] >= floor_) return false;
+  --alive_by_sum_[state_[idx]];
+  state_[idx] = kKilled;
   --alive_count_;
   return true;
 }
@@ -83,34 +98,76 @@ std::size_t CandidateLattice::Prune(
     const Levels& dominator, double max_quality,
     const std::function<void(std::size_t)>& on_kill) {
   DD_CHECK_EQ(dominator.size(), dims_);
+  long box_sum = 0;
+  bool whole_lattice = true;
+  for (int level : dominator) {
+    DD_CHECK_GE(level, 0);
+    DD_CHECK_LE(level, dmax_);
+    box_sum += level;
+    whole_lattice = whole_lattice && level == dmax_;
+  }
   // Q(ϕ) <= q  <=>  LevelSum(ϕ) >= dims * dmax * (1 - q).
   const double min_sum_d =
       static_cast<double>(dims_) * dmax_ * (1.0 - max_quality);
   // Guard against floating-point jitter at the boundary: Q is a ratio of
   // small integers, so nudge by an epsilon before taking the ceiling.
-  const long min_sum = static_cast<long>(std::ceil(min_sum_d - 1e-9));
+  const long min_sum =
+      std::max(0L, static_cast<long>(std::ceil(min_sum_d - 1e-9)));
+  // Cells at or above the floor are dead already; none in the box
+  // reaches a sum above box_sum.
+  if (min_sum >= static_cast<long>(floor_) || min_sum > box_sum) return 0;
+  if (whole_lattice) {
+    return LowerFloor(static_cast<unsigned>(min_sum), on_kill);
+  }
 
-  // Walk the dominated sub-box [0, dominator] with an odometer.
+  // Walk the dominated sub-box [0, dominator] row by row: an odometer
+  // over dimensions 1.. tracks the row's first index and level sum, and
+  // each row of dimension 0 starts where the sum reaches min_sum.
   std::size_t killed = 0;
   Levels cursor(dims_, 0);
+  std::size_t row = 0;
+  long row_sum = 0;
   for (;;) {
-    const long sum = LevelSum(cursor);
-    if (sum >= min_sum) {
-      const std::size_t idx = IndexOf(cursor);
-      if (Kill(idx)) {
-        ++killed;
-        if (on_kill) on_kill(idx);
-      }
+    for (long j = std::max(0L, min_sum - row_sum); j <= dominator[0]; ++j) {
+      const std::size_t idx = row + static_cast<std::size_t>(j);
+      const std::uint16_t sum = state_[idx];
+      if (sum >= floor_) continue;  // Killed, or at/above the S0 floor.
+      --alive_by_sum_[sum];
+      state_[idx] = kKilled;
+      ++killed;
+      if (on_kill) on_kill(idx);
     }
-    // Advance the odometer.
-    std::size_t d = 0;
+    std::size_t d = 1;
     while (d < dims_ && cursor[d] == dominator[d]) {
+      row -= static_cast<std::size_t>(cursor[d]) * strides_[d];
+      row_sum -= cursor[d];
       cursor[d] = 0;
       ++d;
     }
     if (d == dims_) break;
     ++cursor[d];
+    row += strides_[d];
+    ++row_sum;
   }
+  alive_count_ -= killed;
+  return killed;
+}
+
+std::size_t CandidateLattice::LowerFloor(
+    unsigned min_sum, const std::function<void(std::size_t)>& on_kill) {
+  const unsigned old_floor = floor_;
+  floor_ = min_sum;
+  if (on_kill) {
+    for (std::size_t idx = 0; idx < state_.size(); ++idx) {
+      if (state_[idx] >= min_sum && state_[idx] < old_floor) on_kill(idx);
+    }
+  }
+  std::size_t killed = 0;
+  for (unsigned sum = min_sum; sum < old_floor; ++sum) {
+    killed += alive_by_sum_[sum];
+    alive_by_sum_[sum] = 0;
+  }
+  alive_count_ -= killed;
   return killed;
 }
 

@@ -24,7 +24,8 @@ const char* RhsAlgorithmName(RhsAlgorithm algorithm) {
 }
 
 void PublishDetermineMetrics(const DaStats& stats,
-                             const ProviderStats& provider_stats) {
+                             const ProviderStats& provider_stats,
+                             const std::string& provider) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("determine.runs").Increment();
   registry.GetCounter("determine.lhs_evaluated").Add(stats.lhs_evaluated);
@@ -37,6 +38,7 @@ void PublishDetermineMetrics(const DaStats& stats,
       .Add(provider_stats.xy_evaluations);
   registry.GetCounter("provider.rows_scanned").Add(provider_stats.rows_scanned);
   registry.GetGauge("determine.pruning_rate").Set(stats.PruningRate());
+  registry.SetInfo("determine.provider", "kind", provider);
 }
 
 Result<DetermineResult> DetermineWithProvider(
@@ -59,6 +61,7 @@ Result<DetermineResult> DetermineWithProvider(
       options.threads == 0 ? DefaultThreads() : options.threads;
 
   DetermineResult result;
+  result.provider = provider_label;
   UtilityOptions utility = options.utility;
   if (options.prior_sample_size > 0) {
     obs::TraceSpan span("prior_estimation");
@@ -89,7 +92,8 @@ Result<DetermineResult> DetermineWithProvider(
   }
   result.elapsed_seconds = timer.ElapsedSeconds();
   result.provider_stats = provider->stats();
-  PublishDetermineMetrics(result.stats, result.provider_stats);
+  PublishDetermineMetrics(result.stats, result.provider_stats,
+                          result.provider);
   obs::diag::FlightRecord(obs::diag::EventType::kDetermined, "determine",
                           result.patterns.size(), provider->total());
   DD_LOG(INFO) << LhsAlgorithmName(options.lhs_algorithm) << "+"
@@ -109,16 +113,17 @@ Result<DetermineResult> DetermineThresholds(const MatchingRelation& matching,
   DD_ASSIGN_OR_RETURN(ResolvedRule resolved, ResolveRule(matching, rule));
   const std::size_t threads =
       options.threads == 0 ? DefaultThreads() : options.threads;
+  const std::string kind(
+      ResolveProviderKind(matching, resolved, options.provider));
   std::unique_ptr<MeasureProvider> provider;
   {
     obs::TraceSpan span("provider_build");
     DD_ASSIGN_OR_RETURN(provider,
-                        MakeMeasureProvider(matching, resolved,
-                                            options.provider, threads));
+                        MakeMeasureProvider(matching, resolved, kind, threads));
   }
   return DetermineWithProvider(provider.get(), resolved.lhs.size(),
                                resolved.rhs.size(), matching.dmax(), options,
-                               options.provider);
+                               kind);
 }
 
 }  // namespace dd

@@ -32,8 +32,9 @@ struct DetermineOptions {
   ProcessingOrder order = ProcessingOrder::kTopFirst;
   // Number of answers (l-th largest expected utility extension).
   std::size_t top_l = 1;
-  // Measure provider: "scan" (paper-faithful), "scan_subset", "grid".
-  std::string provider = "scan";
+  // Measure provider: "auto" (grid when the cells fit, else scan; see
+  // ResolveProviderKind), "scan" (paper-faithful), "scan_subset", "grid".
+  std::string provider = "auto";
   // Concurrency of the whole determination (0 = DefaultThreads(), i.e.
   // the --threads flag / DD_THREADS env): provider scans, the parallel
   // LHS sweep, and within-LHS candidate evaluation. Results are
@@ -53,17 +54,21 @@ struct DetermineResult {
   // (see the stats contract in core/measure_provider.h).
   DaStats stats;
   ProviderStats provider_stats;
+  // The provider kind that answered the counts: options.provider with
+  // "auto" resolved, or the label handed to DetermineWithProvider.
+  std::string provider;
   double prior_mean_cq = 0.0;
   double elapsed_seconds = 0.0;
 };
 
 // Publishes a finished run's search statistics into the global
-// obs::MetricsRegistry (counters "determine.*" / "provider.*" and the
-// "determine.pruning_rate" gauge). Called by the determination facades;
-// exposed for custom pipelines that drive DetermineBestPatterns
-// directly.
+// obs::MetricsRegistry (counters "determine.*" / "provider.*", the
+// "determine.pruning_rate" gauge and the determine.provider{kind=...}
+// info gauge). Called by the determination facades; exposed for custom
+// pipelines that drive DetermineBestPatterns directly.
 void PublishDetermineMetrics(const DaStats& stats,
-                             const ProviderStats& provider_stats);
+                             const ProviderStats& provider_stats,
+                             const std::string& provider);
 
 // Runs the determination. Fails on unresolvable rules or providers.
 Result<DetermineResult> DetermineThresholds(const MatchingRelation& matching,
@@ -76,7 +81,7 @@ Result<DetermineResult> DetermineThresholds(const MatchingRelation& matching,
 // construction themselves (the approx refinement driver,
 // approx/refine.h, runs it repeatedly against growing samples).
 // `options.provider` is ignored; `provider_label` feeds the EXPLAIN run
-// label instead.
+// label and DetermineResult::provider instead.
 Result<DetermineResult> DetermineWithProvider(MeasureProvider* provider,
                                               std::size_t lhs_dims,
                                               std::size_t rhs_dims, int dmax,

@@ -176,9 +176,29 @@ std::unique_ptr<MeasureProvider> GridMeasureProvider::CloneForThread() const {
   return clone;
 }
 
+namespace {
+
+// Smallest joint grid "auto" always accepts (8 MiB of cells).
+constexpr std::size_t kAutoMinGridCells = std::size_t{1} << 20;
+
+}  // namespace
+
+std::string_view ResolveProviderKind(const MatchingRelation& matching,
+                                     const ResolvedRule& rule,
+                                     std::string_view kind) {
+  if (kind != "auto") return kind;
+  const std::size_t max_cells =
+      std::min(std::max<std::size_t>(matching.num_tuples(), kAutoMinGridCells),
+               GridMeasureProvider::kMaxCells);
+  const std::size_t base = static_cast<std::size_t>(matching.dmax()) + 1;
+  const std::size_t dims = rule.lhs.size() + rule.rhs.size();
+  return grid::GridCells(base, dims, max_cells).ok() ? "grid" : "scan";
+}
+
 Result<std::unique_ptr<MeasureProvider>> MakeMeasureProvider(
     const MatchingRelation& matching, const ResolvedRule& rule,
     std::string_view kind, std::size_t scan_threads) {
+  kind = ResolveProviderKind(matching, rule, kind);
   if (kind == "scan") {
     return std::unique_ptr<MeasureProvider>(new ScanMeasureProvider(
         matching, rule, /*full_scan=*/true, scan_threads));

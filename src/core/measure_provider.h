@@ -9,13 +9,15 @@
 // techniques of §V are designed to avoid). GridMeasureProvider is an
 // extension: a prefix-sum grid over the (dmax+1)^c threshold lattice
 // that answers each count in O(1) after an O(M + d^c) build. Both
-// providers return identical counts (asserted by property tests).
+// providers return identical counts (asserted by property tests), and
+// the "auto" kind picks between them by grid size (ResolveProviderKind).
 
 #ifndef DD_CORE_MEASURE_PROVIDER_H_
 #define DD_CORE_MEASURE_PROVIDER_H_
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -182,10 +184,13 @@ class ScanMeasureProvider : public MeasureProvider {
 // O(1)-per-count provider over an inclusive prefix-sum grid.
 class GridMeasureProvider : public MeasureProvider {
  public:
+  // Hard ceiling on the joint grid: 1 GiB of uint64 cells.
+  static constexpr std::size_t kMaxCells = std::size_t{1} << 27;
+
   // Fails when the grid (dmax+1)^(|X|+|Y|) would exceed `max_cells`.
   static Result<std::unique_ptr<GridMeasureProvider>> Create(
       const MatchingRelation& matching, ResolvedRule rule,
-      std::size_t max_cells = std::size_t{1} << 27);
+      std::size_t max_cells = kMaxCells);
 
   // Builds the provider from externally-accumulated PLAIN histograms
   // (one count per exact level combination; lhs dims low-order in
@@ -244,9 +249,20 @@ class GridMeasureProvider : public MeasureProvider {
   std::uint64_t lhs_count_ = 0;
 };
 
-// Convenience: builds the provider requested by name ("scan",
-// "scan_subset", "grid"). `scan_threads` applies to the scan-based
-// kinds only.
+// The provider kind `kind` stands for: "auto" resolves to "grid" when
+// (dmax+1)^(|X|+|Y|) <= max(|M|, 2^20) cells (capped at
+// GridMeasureProvider::kMaxCells), else to "scan"; any other kind is
+// returned unchanged. The grid build is one pass over M plus
+// O(dims * cells) prefix sums, so cells <= |M| keeps it at about the
+// cost of a single scan, and its memory at max(8 B per matching tuple,
+// 8 MiB); the 2^20 floor lets small matchings use the grid too.
+std::string_view ResolveProviderKind(const MatchingRelation& matching,
+                                     const ResolvedRule& rule,
+                                     std::string_view kind);
+
+// Convenience: builds the provider requested by name ("auto", "scan",
+// "scan_subset", "grid"; "auto" via ResolveProviderKind).
+// `scan_threads` applies to the scan-based kinds only.
 Result<std::unique_ptr<MeasureProvider>> MakeMeasureProvider(
     const MatchingRelation& matching, const ResolvedRule& rule,
     std::string_view kind, std::size_t scan_threads = 1);

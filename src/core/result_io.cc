@@ -68,6 +68,9 @@ std::string DetermineResultToJson(const DetermineResult& result,
   std::string out = "{";
   out += "\"rule\":{\"lhs\":" + NamesToJsonArray(rule.lhs) +
          ",\"rhs\":" + NamesToJsonArray(rule.rhs) + "}";
+  out += ",\"provider\":\"";
+  out += JsonEscape(result.provider);
+  out += "\"";
   out += StrFormat(",\"prior_mean_cq\":%.6f", result.prior_mean_cq);
   out += StrFormat(",\"elapsed_seconds\":%.6f", result.elapsed_seconds);
   out += StrFormat(",\"pruning_rate\":%.6f", result.stats.PruningRate());

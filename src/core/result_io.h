@@ -15,7 +15,8 @@ namespace dd {
 // characters, backslashes).
 std::string JsonEscape(const std::string& text);
 
-// {"rule": {...}, "prior_mean_cq": ..., "elapsed_seconds": ...,
+// {"rule": {...}, "provider": "grid", "prior_mean_cq": ...,
+//  "elapsed_seconds": ...,
 //  "pruning_rate": ..., "patterns": [{"lhs": [...], "rhs": [...],
 //  "d": ..., "confidence": ..., "support": ..., "quality": ...,
 //  "utility": ...}, ...]}

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "common/parallel.h"
 #include "common/stopwatch.h"
@@ -23,23 +24,28 @@ Result<DetermineResult> DetermineWithPinnedSide(
     return Status::InvalidArgument("top_l must be >= 1");
   }
   obs::TraceSpan determine_span("determine");
+  DD_ASSIGN_OR_RETURN(ResolvedRule resolved, ResolveRule(matching, rule));
+  DetermineResult result;
+  result.provider =
+      std::string(ResolveProviderKind(matching, resolved, options.provider));
   obs::ExplainRecorder* rec = obs::ExplainRecorder::Active();
   if (rec != nullptr) {
-    rec->SetRunLabel(pin_lhs ? "MFD determination" : "MD determination");
+    std::string label = pin_lhs ? "MFD" : "MD";
+    label += " determination provider=";
+    label += result.provider;
+    rec->SetRunLabel(label);
   }
-  DD_ASSIGN_OR_RETURN(ResolvedRule resolved, ResolveRule(matching, rule));
   const std::size_t threads =
       options.threads == 0 ? DefaultThreads() : options.threads;
   std::unique_ptr<MeasureProvider> provider;
   {
     obs::TraceSpan span("provider_build");
     DD_ASSIGN_OR_RETURN(provider, MakeMeasureProvider(matching, resolved,
-                                                      options.provider,
+                                                      result.provider,
                                                       threads));
   }
   const int dmax = matching.dmax();
 
-  DetermineResult result;
   UtilityOptions utility = options.utility;
   if (options.prior_sample_size > 0) {
     obs::TraceSpan span("prior_estimation");
@@ -141,7 +147,8 @@ Result<DetermineResult> DetermineWithPinnedSide(
 
   result.elapsed_seconds = timer.ElapsedSeconds();
   result.provider_stats = provider->stats();
-  PublishDetermineMetrics(result.stats, result.provider_stats);
+  PublishDetermineMetrics(result.stats, result.provider_stats,
+                          result.provider);
   return result;
 }
 

@@ -25,7 +25,7 @@ struct SpecialCaseOptions {
   bool prune = true;
   ProcessingOrder order = ProcessingOrder::kMidFirst;
   std::size_t top_l = 1;
-  std::string provider = "scan";
+  std::string provider = "auto";  // See DetermineOptions::provider.
   // Concurrency (0 = DefaultThreads()); see DetermineOptions::threads.
   std::size_t threads = 0;
   std::size_t prior_sample_size = 200;

@@ -159,7 +159,7 @@ void MaintenanceEngine::Redetermine(UpdateReason reason,
                                      resolved_.rhs.size(), builder_->dmax(),
                                      da, &stats);
   }
-  PublishDetermineMetrics(stats, provider_->stats());
+  PublishDetermineMetrics(stats, provider_->stats(), "delta_grid");
   obs::diag::FlightRecord(obs::diag::EventType::kDetermined, "redetermine",
                           patterns.size(), batch_seq_);
   redetermine_counter.Increment();

@@ -1,7 +1,12 @@
 #include "core/candidate_lattice.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -126,6 +131,142 @@ TEST(CandidateLatticeTest, ThreeDimensionalEncoding) {
   EXPECT_EQ(lat.size(), 125u);
   Levels l = {1, 2, 3};
   EXPECT_EQ(lat.LevelsOf(lat.IndexOf(l)), l);
+}
+
+// The plain odometer Prune the S0 floor replaced: visits every cell of
+// the dominated box, recomputing its level sum and index.
+class ReferenceLattice {
+ public:
+  ReferenceLattice(std::size_t dims, int dmax) : dims_(dims), dmax_(dmax) {
+    std::size_t size = 1;
+    for (std::size_t d = 0; d < dims; ++d) size *= dmax + 1;
+    alive_.assign(size, 1);
+    alive_count_ = size;
+  }
+
+  std::size_t alive_count() const { return alive_count_; }
+  bool IsAlive(std::size_t idx) const { return alive_[idx] != 0; }
+
+  bool Kill(std::size_t idx) {
+    if (alive_[idx] == 0) return false;
+    alive_[idx] = 0;
+    --alive_count_;
+    return true;
+  }
+
+  std::size_t Prune(const Levels& dominator, double max_quality,
+                    std::vector<std::size_t>* kills) {
+    const double min_sum_d =
+        static_cast<double>(dims_) * dmax_ * (1.0 - max_quality);
+    const long min_sum = static_cast<long>(std::ceil(min_sum_d - 1e-9));
+    std::size_t killed = 0;
+    Levels cursor(dims_, 0);
+    for (;;) {
+      if (LevelSum(cursor) >= min_sum) {
+        const std::size_t idx = IndexOf(cursor);
+        if (Kill(idx)) {
+          ++killed;
+          kills->push_back(idx);
+        }
+      }
+      std::size_t d = 0;
+      while (d < dims_ && cursor[d] == dominator[d]) {
+        cursor[d] = 0;
+        ++d;
+      }
+      if (d == dims_) break;
+      ++cursor[d];
+    }
+    return killed;
+  }
+
+ private:
+  std::size_t IndexOf(const Levels& levels) const {
+    std::size_t idx = 0;
+    for (std::size_t d = dims_; d-- > 0;) {
+      idx = idx * (dmax_ + 1) + static_cast<std::size_t>(levels[d]);
+    }
+    return idx;
+  }
+
+  std::size_t dims_;
+  int dmax_;
+  std::vector<std::uint8_t> alive_;
+  std::size_t alive_count_;
+};
+
+// Interleaved S0 / S1 / zero-confidence prunes and Kills, as PAP issues
+// them (plus out-of-order bounds PAP never produces): the floor-based
+// Prune must match the reference odometer call by call — return value,
+// alive_count and the exact on_kill sequence.
+TEST(CandidateLatticeTest, PruneMatchesReferenceOdometer) {
+  for (std::uint64_t seed = 0; seed < 600; ++seed) {
+    std::mt19937_64 rng(seed);
+    const std::size_t dims = 1 + rng() % 4;
+    const int dmax = 1 + static_cast<int>(rng() % 14);
+    const int max_sum = static_cast<int>(dims) * dmax;
+    CandidateLattice lat(dims, dmax);
+    ReferenceLattice ref(dims, dmax);
+    const Levels all_dmax(dims, dmax);
+    // Qualities on the exact 1 - k/(dims*dmax) grid (where the ceiling
+    // boundary sits) or arbitrary, including above 1 (S1's Vmax / C).
+    auto random_quality = [&]() {
+      if (rng() % 2 == 0) {
+        const int k = static_cast<int>(rng() % (max_sum + 2)) - 1;
+        return 1.0 - static_cast<double>(k) / max_sum;
+      }
+      return std::uniform_real_distribution<double>(0.0, 1.3)(rng);
+    };
+    auto random_levels = [&]() {
+      Levels levels(dims);
+      for (int& level : levels) level = static_cast<int>(rng() % (dmax + 1));
+      return levels;
+    };
+    double s0_quality = random_quality();
+    for (int step = 0; step < 40; ++step) {
+      const std::string where = "seed " + std::to_string(seed) + " step " +
+                                std::to_string(step);
+      const unsigned op = rng() % 20;
+      if (op < 5) {
+        const std::size_t idx = rng() % lat.size();
+        ASSERT_EQ(lat.Kill(idx), ref.Kill(idx)) << where;
+        ASSERT_EQ(lat.alive_count(), ref.alive_count()) << where;
+        continue;
+      }
+      Levels dominator;
+      double quality;
+      if (op < 12) {
+        // S0: Vmax unchanged half the time, else a fresh bound.
+        if (rng() % 2 == 0) s0_quality = random_quality();
+        dominator = all_dmax;
+        quality = s0_quality;
+      } else if (op < 17) {
+        dominator = random_levels();
+        quality = random_quality();
+      } else {
+        dominator = random_levels();
+        quality = 1.0;
+      }
+      std::vector<std::size_t> expected_kills;
+      const std::size_t expected =
+          ref.Prune(dominator, quality, &expected_kills);
+      std::vector<std::size_t> kills;
+      std::size_t got;
+      if (rng() % 2 == 0) {
+        got = lat.Prune(dominator, quality,
+                        [&](std::size_t idx) { kills.push_back(idx); });
+        ASSERT_EQ(kills, expected_kills) << where;
+      } else {
+        got = lat.Prune(dominator, quality);
+      }
+      ASSERT_EQ(got, expected) << where;
+      ASSERT_EQ(lat.alive_count(), ref.alive_count()) << where;
+    }
+    for (std::size_t idx = 0; idx < lat.size(); ++idx) {
+      ASSERT_EQ(lat.IsAlive(idx), ref.IsAlive(idx))
+          << "seed " << seed << " cell " << idx;
+    }
+  }
 }
 
 }  // namespace

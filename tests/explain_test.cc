@@ -347,7 +347,7 @@ TEST(ExplainSpecialCasesTest, MfdAndMdRunsSatisfyAccounting) {
         obs::ExplainRecorder::Global().Snapshot();
     EXPECT_TRUE(snapshot.waterfall.Accounted());
     EXPECT_EQ(snapshot.waterfall.candidates, mfd->stats.rhs.lattice_size);
-    EXPECT_EQ(snapshot.run_label, "MFD determination");
+    EXPECT_EQ(snapshot.run_label, "MFD determination provider=grid");
   }
   {
     ScopedRecording recording((obs::ExplainConfig()));
@@ -358,7 +358,7 @@ TEST(ExplainSpecialCasesTest, MfdAndMdRunsSatisfyAccounting) {
     EXPECT_TRUE(snapshot.waterfall.Accounted());
     EXPECT_EQ(snapshot.waterfall.candidates, md->stats.rhs.lattice_size);
     EXPECT_EQ(snapshot.waterfall.evaluated, md->stats.rhs.evaluated);
-    EXPECT_EQ(snapshot.run_label, "MD determination");
+    EXPECT_EQ(snapshot.run_label, "MD determination provider=grid");
   }
 }
 

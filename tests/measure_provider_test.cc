@@ -1,8 +1,15 @@
 #include "core/measure_provider.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
+#include "core/determiner.h"
 #include "core/measures.h"
+#include "core/result_io.h"
+#include "core/special_cases.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace dd {
@@ -157,7 +164,140 @@ TEST(MakeMeasureProviderTest, FactoryKinds) {
   EXPECT_TRUE(MakeMeasureProvider(m, rule, "scan").ok());
   EXPECT_TRUE(MakeMeasureProvider(m, rule, "scan_subset").ok());
   EXPECT_TRUE(MakeMeasureProvider(m, rule, "grid").ok());
+  EXPECT_TRUE(MakeMeasureProvider(m, rule, "auto").ok());
   EXPECT_FALSE(MakeMeasureProvider(m, rule, "bogus").ok());
+}
+
+TEST(AutoProviderTest, PicksGridUpToTwoToTheTwentyCells) {
+  // Small M: the bound is 2^20 cells. 32^4 = 2^20 fits; 33^4 does not.
+  const ResolvedRule rule{{0, 1}, {2, 3}};
+  const MatchingRelation fits = RandomMatching(4, 31, 50, 41);
+  EXPECT_EQ(ResolveProviderKind(fits, rule, "auto"), "grid");
+  const MatchingRelation too_big = RandomMatching(4, 32, 50, 41);
+  EXPECT_EQ(ResolveProviderKind(too_big, rule, "auto"), "scan");
+  // Explicit kinds pass through untouched.
+  EXPECT_EQ(ResolveProviderKind(too_big, rule, "grid"), "grid");
+  EXPECT_EQ(ResolveProviderKind(fits, rule, "scan_subset"), "scan_subset");
+}
+
+TEST(AutoProviderTest, PicksGridUpToOneCellPerMatchingTuple) {
+  // Past 2^20 the bound is |M|: 33^4 = 1185921 cells needs as many
+  // matching tuples.
+  const ResolvedRule rule{{0, 1}, {2, 3}};
+  MatchingRelation m = RandomMatching(4, 32, 1185920, 43);
+  EXPECT_EQ(ResolveProviderKind(m, rule, "auto"), "scan");
+  m.AddTuple(0, 1, {0, 0, 0, 0});
+  EXPECT_EQ(ResolveProviderKind(m, rule, "auto"), "grid");
+}
+
+TEST(AutoProviderTest, HugeGridFallsBackToScan) {
+  // dmax 255 over four attributes is a 2^32-cell grid: "grid" fails,
+  // "auto" quietly scans.
+  const MatchingRelation m = RandomMatching(4, 255, 100, 47);
+  const ResolvedRule rule{{0, 1}, {2, 3}};
+  EXPECT_FALSE(MakeMeasureProvider(m, rule, "grid").ok());
+  EXPECT_EQ(ResolveProviderKind(m, rule, "auto"), "scan");
+  auto provider = MakeMeasureProvider(m, rule, "auto");
+  ASSERT_TRUE(provider.ok()) << provider.status().ToString();
+  EXPECT_NE(dynamic_cast<ScanMeasureProvider*>(provider->get()), nullptr);
+}
+
+std::string PublishedProvider() {
+  for (const auto& info : obs::MetricsRegistry::Global().Snapshot().infos) {
+    if (info.name == "determine.provider") return info.label + "=" + info.value;
+  }
+  return "";
+}
+
+TEST(AutoProviderTest, ReportsTheResolvedKind) {
+  const MatchingRelation m = testutil::HotelMatching();
+  const RuleSpec rule{{"Address"}, {"Region"}};
+  auto automatic = DetermineThresholds(m, rule, DetermineOptions{});
+  ASSERT_TRUE(automatic.ok());
+  EXPECT_EQ(automatic->provider, "grid");
+  EXPECT_EQ(PublishedProvider(), "kind=grid");
+  const std::string json = DetermineResultToJson(*automatic, rule);
+  EXPECT_NE(json.find("\"provider\":\"grid\""), std::string::npos);
+
+  SpecialCaseOptions special;
+  special.provider = "scan_subset";
+  auto mfd = DetermineMfdThresholds(m, rule, special);
+  ASSERT_TRUE(mfd.ok());
+  EXPECT_EQ(mfd->provider, "scan_subset");
+  EXPECT_EQ(PublishedProvider(), "kind=scan_subset");
+  auto md = DetermineMdThresholds(m, rule, SpecialCaseOptions{});
+  ASSERT_TRUE(md.ok());
+  EXPECT_EQ(md->provider, "grid");
+}
+
+// Everything a determination returns except the provider's own name
+// and work counters, with doubles in exact hex form.
+std::string SerializeResult(const DetermineResult& result) {
+  std::string out = StrFormat("prior %a lhs %zu/%zu rhs %zu/%zu/%zu\n",
+                              result.prior_mean_cq, result.stats.lhs_evaluated,
+                              result.stats.lhs_total,
+                              result.stats.rhs.lattice_size,
+                              result.stats.rhs.evaluated,
+                              result.stats.rhs.pruned);
+  for (const DeterminedPattern& p : result.patterns) {
+    out += PatternToString(p.pattern);
+    out += StrFormat(" %a %a %a %a %a %llu %llu\n", p.measures.d,
+                     p.measures.confidence, p.measures.support,
+                     p.measures.quality, p.utility,
+                     static_cast<unsigned long long>(p.measures.lhs_count),
+                     static_cast<unsigned long long>(p.measures.xy_count));
+  }
+  return out;
+}
+
+TEST(AutoProviderTest, ResultsByteEqualScan) {
+  CoraOptions cora_options;
+  cora_options.num_entities = 40;
+  const GeneratedData cora = GenerateCora(cora_options);
+  MatchingOptions matching_options;
+  matching_options.dmax = 10;
+  matching_options.max_pairs = 4000;
+  auto cora_matching = BuildMatchingRelation(
+      cora.relation, {"author", "title", "venue", "year"}, matching_options);
+  ASSERT_TRUE(cora_matching.ok());
+  const MatchingRelation hotel_matching = testutil::HotelMatching();
+  struct Case {
+    const char* name;
+    const MatchingRelation* matching;
+    RuleSpec rule;
+  };
+  const Case cases[] = {
+      {"cora", &*cora_matching, {{"author", "title"}, {"venue", "year"}}},
+      {"hotel", &hotel_matching, {{"Address"}, {"Region"}}},
+  };
+  for (const Case& c : cases) {
+    for (LhsAlgorithm lhs : {LhsAlgorithm::kDa, LhsAlgorithm::kDap}) {
+      for (RhsAlgorithm rhs : {RhsAlgorithm::kPa, RhsAlgorithm::kPap}) {
+        for (std::size_t top_l : {1, 5}) {
+          for (std::size_t threads : {1, 2, 7}) {
+            DetermineOptions options;
+            options.lhs_algorithm = lhs;
+            options.rhs_algorithm = rhs;
+            options.top_l = top_l;
+            options.threads = threads;
+            const std::string where = StrFormat(
+                "%s %s+%s top_l=%zu threads=%zu", c.name,
+                LhsAlgorithmName(lhs), RhsAlgorithmName(rhs), top_l, threads);
+            auto automatic = DetermineThresholds(*c.matching, c.rule, options);
+            options.provider = "scan";
+            auto scan = DetermineThresholds(*c.matching, c.rule, options);
+            ASSERT_TRUE(automatic.ok()) << where;
+            ASSERT_TRUE(scan.ok()) << where;
+            EXPECT_EQ(automatic->provider, "grid") << where;
+            EXPECT_EQ(scan->provider, "scan") << where;
+            EXPECT_FALSE(automatic->patterns.empty()) << where;
+            EXPECT_EQ(SerializeResult(*automatic), SerializeResult(*scan))
+                << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(MeasuresTest, FromCountsComputesAllStatistics) {

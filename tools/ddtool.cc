@@ -6,7 +6,10 @@
 //   ddtool determine --input clean.csv --lhs author,title --rhs venue,year
 //                    [--dmax 10] [--max-pairs 100000] [--top 5]
 //                    [--algo DAP+PAP|DA+PAP|DA+PA] [--order top|mid]
-//                    [--metric attr=levenshtein ...] [--provider scan|grid]
+//                    [--metric attr=levenshtein ...]
+//                    [--provider auto|scan|scan_subset|grid]
+//                    (auto, the default: grid when (dmax+1)^(|X|+|Y|)
+//                     <= max(|M|, 2^20) cells, scan otherwise)
 //                    [--approx] [--sample_target 100000] [--epsilon 0.01]
 //                    [--seed 7] [--no_blocking]
 //                    (sampled + LSH-blocked determination, src/approx:
@@ -170,6 +173,9 @@ int Usage() {
       "<generate|determine|explain|detect|discover|append|watch|serve|diag|"
       "prof> [flags]\n"
       "       ddtool --version\n"
+      "determine/explain: --provider auto|scan|scan_subset|grid\n"
+      "  (default auto: grid when (dmax+1)^(|X|+|Y|) <= max(|M|, 2^20) "
+      "cells, else scan)\n"
       "see the header of tools/ddtool.cc or README.md for flags\n");
   return 1;
 }
@@ -211,7 +217,7 @@ dd::Result<dd::DetermineOptions> DetermineFromFlags(const dd::ArgParser& args) {
   dd::DetermineOptions options;
   DD_ASSIGN_OR_RETURN(std::int64_t top, args.GetInt("top", 5));
   options.top_l = static_cast<std::size_t>(top);
-  options.provider = args.GetString("provider", "scan");
+  options.provider = args.GetString("provider", "auto");
   const std::string algo = args.GetString("algo", "DAP+PAP");
   if (algo == "DA+PA") {
     options.lhs_algorithm = dd::LhsAlgorithm::kDa;
@@ -332,6 +338,8 @@ void PrintSearchStats(const dd::DetermineResult& result) {
   const dd::DaStats& s = result.stats;
   const dd::ProviderStats& p = result.provider_stats;
   std::fprintf(stderr, "search stats:\n");
+  std::fprintf(stderr, "  provider                   %s\n",
+               result.provider.c_str());
   std::fprintf(stderr, "  lhs candidates evaluated   %zu of %zu\n", s.lhs_evaluated,
               s.lhs_total);
   std::fprintf(stderr, "  rhs lattice size           %zu\n", s.rhs.lattice_size);
