@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -101,10 +102,10 @@ BENCHMARK(BM_LevKernelBanded)
 // (the sample values plus seeded typo variants): the Levenshtein
 // one-to-many row kernel against a per-pair BoundedDistance loop. One
 // iteration fills the whole triangle; items are value pairs.
-std::vector<std::string> TypoValues() {
+std::vector<std::string> TypoValues(int rounds = 24) {
   dd::Rng rng(23);
   std::vector<std::string> values;
-  for (int round = 0; round < 24; ++round) {
+  for (int round = 0; round < rounds; ++round) {
     for (std::string v : SampleValues()) {
       for (int e = 0; e < round % 6; ++e) {
         v[rng.NextBounded(v.size())] =
@@ -122,11 +123,14 @@ void BM_LevTableOneToMany(benchmark::State& state) {
   std::vector<const std::string*> values;
   for (const auto& s : strings) values.push_back(&s);
   const std::size_t n = values.size();
+  std::vector<std::uint32_t> ids(n);
+  for (std::size_t j = 0; j < n; ++j) ids[j] = static_cast<std::uint32_t>(j);
   std::vector<double> out(n);
   for (auto _ : state) {
     const auto rows = lev.OneToMany(values, 10.0);
     for (std::size_t i = 0; i + 1 < n; ++i) {
-      rows->Row(i, i + 1, n, out.data());
+      rows->Row(static_cast<std::uint32_t>(i), &ids[i + 1], n - i - 1,
+                out.data());
       benchmark::DoNotOptimize(out.data());
     }
     benchmark::ClobberMemory();
@@ -154,6 +158,70 @@ void BM_LevTablePairwise(benchmark::State& state) {
                           static_cast<std::int64_t>(n * (n - 1) / 2));
 }
 BENCHMARK(BM_LevTablePairwise);
+
+// The sampled build's sparse rows at cap 10: 64 rows of a 2 160-value
+// set, each against a sorted random list of 350 other ids (the size of
+// a near-stratum row). The one-to-many kernel over the id list against
+// a per-pair BoundedDistance loop on the same pairs; items are pairs.
+struct SparseRows {
+  std::vector<std::string> strings = TypoValues(240);
+  std::vector<std::uint32_t> rows;               // row value ids
+  std::vector<std::vector<std::uint32_t>> ids;   // sorted, per row
+
+  SparseRows() {
+    dd::Rng rng(29);
+    for (int r = 0; r < 64; ++r) {
+      rows.push_back(static_cast<std::uint32_t>(rng.NextBounded(strings.size())));
+      std::vector<std::uint32_t> row;
+      while (row.size() < 350) {
+        row.push_back(static_cast<std::uint32_t>(rng.NextBounded(strings.size())));
+      }
+      std::sort(row.begin(), row.end());
+      ids.push_back(std::move(row));
+    }
+  }
+
+  std::int64_t pairs() const {
+    return static_cast<std::int64_t>(rows.size() * ids[0].size());
+  }
+};
+
+void BM_LevRowsSparse(benchmark::State& state) {
+  dd::LevenshteinMetric lev;
+  const SparseRows sparse;
+  std::vector<const std::string*> values;
+  for (const auto& s : sparse.strings) values.push_back(&s);
+  const auto rows = lev.OneToMany(values, 10.0);
+  std::vector<double> out(350);
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < sparse.rows.size(); ++r) {
+      rows->Row(sparse.rows[r], sparse.ids[r].data(), sparse.ids[r].size(),
+                out.data());
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * sparse.pairs());
+}
+BENCHMARK(BM_LevRowsSparse);
+
+void BM_LevRowsSparsePairwise(benchmark::State& state) {
+  dd::LevenshteinMetric lev;
+  const SparseRows sparse;
+  std::vector<double> out(350);
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < sparse.rows.size(); ++r) {
+      const std::string& a = sparse.strings[sparse.rows[r]];
+      for (std::size_t k = 0; k < sparse.ids[r].size(); ++k) {
+        out[k] = lev.BoundedDistance(a, sparse.strings[sparse.ids[r][k]], 10.0);
+      }
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * sparse.pairs());
+}
+BENCHMARK(BM_LevRowsSparsePairwise);
 
 void BM_QGram(benchmark::State& state) {
   dd::QGramMetric qgram(static_cast<std::size_t>(state.range(0)));

@@ -72,7 +72,7 @@ Result<std::unique_ptr<MeasureProvider>> BuildStreamingGridProvider(
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         std::vector<std::uint64_t>& joint = joint_per_chunk[chunk];
         std::vector<std::uint64_t>& lhs_grid = lhs_per_chunk[chunk];
-        std::vector<Level> levels(dims);
+        std::vector<Level> levels(PairLevelSource::kMaxRun * dims);
         // Pair levels are transposed into per-attribute batch columns
         // so the vectorized cell-index kernel (one-byte-per-level
         // views) computes a whole batch of grid cells per call.
@@ -84,31 +84,32 @@ Result<std::unique_ptr<MeasureProvider>> BuildStreamingGridProvider(
         }
         std::vector<std::uint32_t> joint_idx(kBatch);
         std::vector<std::uint32_t> lhs_idx(kBatch);
-        std::uint64_t calls = 0;
-        // Decode the chunk's first pair once, then walk the triangle
-        // incrementally — no per-pair sqrt on a loop this hot.
-        auto [i, j] = DecodeTriangularPair(begin, n);
-        for (std::size_t k = begin; k < end; k += kBatch) {
-          const std::size_t count = std::min(kBatch, end - k);
-          for (std::size_t p = 0; p < count; ++p) {
-            source.Levels(i, j, levels.data(), &calls);
-            for (std::size_t a = 0; a < dims; ++a) {
-              batch_cols[a][p] = levels[a];
-            }
-            if (++j == n) {
-              ++i;
-              j = i + 1;
-            }
-          }
-          simd::GridIndices(views.data(), strides.data(), dims, 0, count,
+        std::size_t filled = 0;
+        const auto flush = [&] {
+          simd::GridIndices(views.data(), strides.data(), dims, 0, filled,
                             joint_idx.data());
-          simd::GridIndices(views.data(), strides.data(), lhs_dims, 0, count,
+          simd::GridIndices(views.data(), strides.data(), lhs_dims, 0, filled,
                             lhs_idx.data());
-          for (std::size_t p = 0; p < count; ++p) {
+          for (std::size_t p = 0; p < filled; ++p) {
             ++joint[joint_idx[p]];
             ++lhs_grid[lhs_idx[p]];
           }
-        }
+          filled = 0;
+        };
+        std::uint64_t calls = 0;
+        ForEachPairRun(
+            n, begin, end, [](std::size_t k) { return std::uint64_t{k}; },
+            [&](std::size_t, std::uint32_t i, const std::uint32_t* js,
+                std::size_t count) {
+              source.Row(i, js, count, levels.data(), &calls);
+              for (std::size_t p = 0; p < count; ++p) {
+                for (std::size_t a = 0; a < dims; ++a) {
+                  batch_cols[a][filled] = levels[p * dims + a];
+                }
+                if (++filled == kBatch) flush();
+              }
+            });
+        if (filled > 0) flush();
         metric_calls.fetch_add(calls, std::memory_order_relaxed);
       });
 

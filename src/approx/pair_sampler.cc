@@ -30,7 +30,9 @@ std::vector<std::uint64_t> PairSampler::GrowTo(std::uint64_t target) {
   // that case enumerates instead.
   const bool enumerate = target == population_;
   if (!enumerate) {
-    chosen_.reserve(target * 2);
+    // Buckets for exactly the target: no rehash during the draw, and
+    // no second bucket per index at the approx build's peak.
+    chosen_.reserve(target);
     while (sampled_ < target) {
       const std::uint64_t k = rng_.NextBounded(total_pairs_);
       if (Excluded(k)) continue;
@@ -55,8 +57,11 @@ std::vector<std::uint64_t> PairSampler::GrowTo(std::uint64_t target) {
 }
 
 std::size_t PairSampler::MemoryUsageBytes() const {
+  // The drawn set: one node (value + next pointer + allocator
+  // overhead, about two pointers) per index, and its bucket array.
   return excluded_.capacity() * sizeof(std::uint64_t) +
-         chosen_.size() * (sizeof(std::uint64_t) + sizeof(void*) * 2);
+         chosen_.size() * (sizeof(std::uint64_t) + sizeof(void*) * 2) +
+         chosen_.bucket_count() * sizeof(void*);
 }
 
 }  // namespace dd::approx

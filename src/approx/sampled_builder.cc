@@ -1,6 +1,5 @@
 #include "approx/sampled_builder.h"
 
-#include <atomic>
 #include <utility>
 
 #include "common/parallel.h"
@@ -75,23 +74,13 @@ void SampledMatchingBuilder::MaterializePairs(
     const std::vector<std::uint64_t>& ks, MatchingRelation* out) {
   const std::size_t offset = out->num_tuples();
   out->ResizeRows(offset + ks.size());
-  const std::size_t num_attrs = out->num_attributes();
-  const std::uint64_t n = relation_->num_rows();
-  std::atomic<std::uint64_t> metric_calls{0};
-  ParallelForTuples("approx_build.pairs", offset, offset + ks.size(),
-                    threads_, [&](std::size_t begin, std::size_t end) {
-                      std::vector<Level> levels(num_attrs);
-                      std::uint64_t calls = 0;
-                      for (std::size_t row = begin; row < end; ++row) {
-                        auto [i, j] = DecodeTriangularPair(ks[row - offset], n);
-                        source_->Levels(i, j, levels.data(), &calls);
-                        out->SetTuple(row, i, j, levels.data());
-                      }
-                      metric_calls.fetch_add(calls, std::memory_order_relaxed);
-                    });
+  const std::uint64_t metric_calls = FillPairRows(
+      *source_, relation_->num_rows(), "approx_build.pairs", offset,
+      offset + ks.size(),
+      [&](std::size_t row) { return ks[row - offset]; }, threads_, out);
   obs::MetricsRegistry::Global()
       .GetCounter("matching.distances_computed")
-      .Add(metric_calls.load(std::memory_order_relaxed));
+      .Add(metric_calls);
 }
 
 std::uint64_t SampledMatchingBuilder::GrowTo(std::uint64_t target) {

@@ -1,7 +1,6 @@
 #include "matching/builder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <unordered_set>
@@ -27,16 +26,82 @@ PairLevelSource::PairLevelSource(const Relation& relation,
   if (!options.value_cache) return;
   attrs_.resize(resolved.num_attributes());
   for (std::size_t a = 0; a < attrs_.size(); ++a) {
-    attrs_[a].index = InternColumn(relation, resolved.attr_idx[a]);
-    attrs_[a].interned = true;
-    attrs_[a].table = ValuePairLevelTable::Build(
-        attrs_[a].index, *resolved.metrics[a], resolved.scales[a],
-        resolved.dmax, pairs_to_compute, options.value_cache_max_cells,
-        threads);
-    if (attrs_[a].table != nullptr) {
-      precomputed_distances_ += attrs_[a].table->distances_computed();
+    AttrLevelSource& attr = attrs_[a];
+    attr.index = InternColumn(relation, resolved.attr_idx[a]);
+    attr.table = ValuePairLevelTable::Build(
+        attr.index, *resolved.metrics[a], resolved.scales[a], resolved.dmax,
+        pairs_to_compute, options.value_cache_max_cells, threads);
+    if (attr.table != nullptr) {
+      precomputed_distances_ += attr.table->distances_computed();
+    } else {
+      attr.rows = resolved.metrics[a]->OneToMany(
+          attr.index.values, static_cast<double>(resolved.dmax) /
+                                 resolved.scales[a]);
     }
   }
+}
+
+void PairLevelSource::Row(std::uint32_t i, const std::uint32_t* js,
+                          std::size_t count, Level* levels,
+                          std::uint64_t* metric_calls) const {
+  const std::size_t num_attrs = resolved_.num_attributes();
+  for (std::size_t a = 0; a < num_attrs; ++a) {
+    Level* column = levels + a;  // column[k * num_attrs] is pair k's level
+    if (attrs_.empty()) {
+      for (std::size_t k = 0; k < count; ++k) {
+        column[k * num_attrs] = resolved_.ComputeLevel(relation_, i, js[k], a);
+      }
+      *metric_calls += count;
+      continue;
+    }
+    const AttrLevelSource& attr = attrs_[a];
+    const std::uint32_t* row_ids = attr.index.row_ids.data();
+    const std::uint32_t id = row_ids[i];
+    if (attr.table != nullptr) {
+      for (std::size_t k = 0; k < count; ++k) {
+        column[k * num_attrs] = attr.table->LevelOf(id, row_ids[js[k]]);
+      }
+      continue;
+    }
+    // Equal values are level 0 (d(x, x) = 0, a metric axiom); the rest
+    // go to the one-to-many rows in runs of at most kMaxRun.
+    const double scale = resolved_.scales[a];
+    std::uint32_t ids[kMaxRun];
+    std::size_t at[kMaxRun];
+    double raw[kMaxRun];
+    std::size_t pending = 0;
+    const auto flush = [&] {
+      attr.rows->Row(id, ids, pending, raw);
+      for (std::size_t r = 0; r < pending; ++r) {
+        column[at[r] * num_attrs] =
+            BucketDistance(raw[r], scale, resolved_.dmax);
+      }
+      *metric_calls += pending;
+      pending = 0;
+    };
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint32_t other = row_ids[js[k]];
+      if (other == id) {
+        column[k * num_attrs] = 0;
+        continue;
+      }
+      ids[pending] = other;
+      at[pending] = k;
+      if (++pending == kMaxRun) flush();
+    }
+    if (pending > 0) flush();
+  }
+}
+
+std::size_t PairLevelSource::cache_bytes() const {
+  std::size_t bytes = 0;
+  for (const AttrLevelSource& attr : attrs_) {
+    bytes += attr.index.row_ids.capacity() * sizeof(std::uint32_t) +
+             attr.index.values.capacity() * sizeof(const std::string*);
+    if (attr.table != nullptr) bytes += attr.table->MemoryUsageBytes();
+    if (attr.rows != nullptr) bytes += attr.rows->MemoryUsageBytes();
+  }
+  return bytes;
 }
 
 std::pair<std::uint32_t, std::uint32_t> DecodeTriangularPair(std::uint64_t k,
@@ -157,69 +222,39 @@ Result<MatchingRelation> BuildMatchingRelation(
       full ? total_pairs : options.max_pairs;
   const PairLevelSource source(relation, resolved, options, pairs_to_compute,
                                threads);
-  std::atomic<std::uint64_t> metric_calls{source.precomputed_distances()};
-  const std::size_t num_attrs = attributes.size();
+  std::uint64_t metric_calls = source.precomputed_distances();
 
+  // Without a pair cap, every pair in enumeration order; else a uniform
+  // sample without replacement over the triangular enumeration, sorted.
   if (full) {
     out.ResizeRows(total_pairs);
-    ParallelForTuples("matching_build.pairs", 0, total_pairs, threads,
-                      [&](std::size_t begin, std::size_t end) {
-                        std::vector<Level> levels(num_attrs);
-                        std::uint64_t calls = 0;
-                        auto [i, j] = DecodeTriangularPair(begin, n);
-                        for (std::size_t k = begin; k < end; ++k) {
-                          source.Levels(i, j, levels.data(), &calls);
-                          out.SetTuple(k, i, j, levels.data());
-                          if (++j == n) {
-                            ++i;
-                            j = i + 1;
-                          }
-                        }
-                        metric_calls.fetch_add(calls,
-                                               std::memory_order_relaxed);
-                      });
-    pairs_counter.Add(total_pairs);
-    distance_counter.Add(metric_calls.load(std::memory_order_relaxed));
-    DD_LOG(INFO) << "matching relation built: all " << total_pairs
-                 << " pairs over " << n << " rows, " << attributes.size()
-                 << " attribute(s), dmax=" << options.dmax << ", threads="
-                 << threads << ", cached level tables: "
-                 << source.tables_built() << "/" << attributes.size();
-    obs::SetMemoryGauge("matching", out.MemoryUsageBytes());
-    obs::SetMemoryGauge("value_cache", source.cache_bytes());
-    return out;
+    metric_calls += FillPairRows(
+        source, n, "matching_build.pairs", 0, total_pairs,
+        [](std::size_t row) { return std::uint64_t{row}; }, threads, &out);
+  } else {
+    Rng rng(options.seed);
+    std::unordered_set<std::uint64_t> chosen;
+    chosen.reserve(options.max_pairs * 2);
+    std::vector<std::uint64_t> ks;
+    ks.reserve(options.max_pairs);
+    while (ks.size() < options.max_pairs) {
+      std::uint64_t k = rng.NextBounded(total_pairs);
+      if (chosen.insert(k).second) ks.push_back(k);
+    }
+    std::sort(ks.begin(), ks.end());
+    out.ResizeRows(ks.size());
+    metric_calls += FillPairRows(
+        source, n, "matching_build.sampled", 0, ks.size(),
+        [&ks](std::size_t row) { return ks[row]; }, threads, &out);
   }
-
-  // Uniform sample without replacement over the triangular enumeration.
-  Rng rng(options.seed);
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(options.max_pairs * 2);
-  std::vector<std::uint64_t> ks;
-  ks.reserve(options.max_pairs);
-  while (ks.size() < options.max_pairs) {
-    std::uint64_t k = rng.NextBounded(total_pairs);
-    if (chosen.insert(k).second) ks.push_back(k);
-  }
-  std::sort(ks.begin(), ks.end());
-  out.ResizeRows(ks.size());
-  ParallelForTuples("matching_build.sampled", 0, ks.size(), threads,
-                    [&](std::size_t begin, std::size_t end) {
-                      std::vector<Level> levels(num_attrs);
-                      std::uint64_t calls = 0;
-                      for (std::size_t r = begin; r < end; ++r) {
-                        auto [i, j] = DecodeTriangularPair(ks[r], n);
-                        source.Levels(i, j, levels.data(), &calls);
-                        out.SetTuple(r, i, j, levels.data());
-                      }
-                      metric_calls.fetch_add(calls, std::memory_order_relaxed);
-                    });
-  pairs_counter.Add(ks.size());
-  distance_counter.Add(metric_calls.load(std::memory_order_relaxed));
-  DD_LOG(INFO) << "matching relation built: sampled " << ks.size() << " of "
-               << total_pairs << " pairs over " << n << " rows, dmax="
-               << options.dmax << ", threads=" << threads
-               << ", cached level tables: " << source.tables_built() << "/"
-               << attributes.size();
+  pairs_counter.Add(out.num_tuples());
+  distance_counter.Add(metric_calls);
+  DD_LOG(INFO) << "matching relation built: " << (full ? "all " : "sampled ")
+               << out.num_tuples() << " of " << total_pairs << " pairs over "
+               << n << " rows, " << attributes.size()
+               << " attribute(s), dmax=" << options.dmax << ", threads="
+               << threads << ", cached level tables: "
+               << source.tables_built() << "/" << attributes.size();
   obs::SetMemoryGauge("matching", out.MemoryUsageBytes());
   obs::SetMemoryGauge("value_cache", source.cache_bytes());
   return out;

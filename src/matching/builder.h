@@ -7,6 +7,7 @@
 #ifndef DD_MATCHING_BUILDER_H_
 #define DD_MATCHING_BUILDER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -106,50 +107,62 @@ Result<ResolvedMetrics> ResolveMatchingMetrics(
     const Schema& schema, const std::vector<std::string>& attributes,
     const MatchingOptions& options);
 
+// Maps one raw distance to a level (exposed for tests and the detector).
+Level BucketDistance(double raw, double scale, int dmax);
+
+// Decodes the k-th pair (0-based) of the row-major upper-triangular
+// enumeration over n items into (i, j) with i < j. The builder chunks
+// the triangular pair range by this global index, so any chunking
+// reproduces the sequential pair order.
+//
+// Overflow note: pair indices are 64-bit BY CONTRACT. n(n-1)/2 exceeds
+// uint32_t already at n ≈ 93k, so every call site must carry k (and any
+// row-offset arithmetic) in std::uint64_t — regression-tested at
+// n = 100k in tests/approx_test.cc.
+std::pair<std::uint32_t, std::uint32_t> DecodeTriangularPair(std::uint64_t k,
+                                                             std::uint64_t n);
+
+// Inverse of DecodeTriangularPair: the global triangular index of pair
+// (i, j), i < j < n. All arithmetic in 64 bits.
+std::uint64_t EncodeTriangularPair(std::uint64_t i, std::uint64_t j,
+                                   std::uint64_t n);
+
 // Per-attribute cached level source: the precomputed distinct-pair
-// table when it pays off, else interning with the equal-value shortcut,
-// else the raw metric. All three produce identical levels.
+// table when it pays off, else interning with the equal-value shortcut
+// and the metric's one-to-many rows over the interned values. With the
+// cache disabled, the raw metric. All three produce identical levels.
 struct AttrLevelSource {
   AttributeValueIndex index;                    // empty when cache disabled
   std::unique_ptr<ValuePairLevelTable> table;   // may be null
-  bool interned = false;
+  std::unique_ptr<OneToManyDistances> rows;     // set iff no table
 };
 
-// Levels of arbitrary (i, j) data-tuple pairs through the value cache —
-// the per-pair kernel shared by the one-shot build below, the streaming
+// Levels of data-tuple pairs through the value cache, one row at a
+// time — the kernel shared by the one-shot build below, the streaming
 // exact grid build, and the sampled builder (src/approx). Holds
 // references to `relation` and `resolved`; both must outlive it.
 class PairLevelSource {
  public:
-  // `pairs_to_compute` is the expected number of Levels() calls — the
-  // payoff signal deciding whether an attribute's distinct-pair table
-  // is worth precomputing (matching/value_cache.h).
+  // Longest run ForEachPairRun passes to one callback.
+  static constexpr std::size_t kMaxRun = 1024;
+
+  // `pairs_to_compute` is the expected number of pairs Row() will be
+  // asked for — the payoff signal deciding whether an attribute's
+  // distinct-pair table is worth precomputing (matching/value_cache.h).
+  // Attributes without a table get their metric's one-to-many rows
+  // (DistanceMetric::OneToMany) over the interned values instead.
   PairLevelSource(const Relation& relation, const ResolvedMetrics& resolved,
                   const MatchingOptions& options,
                   std::uint64_t pairs_to_compute, std::size_t threads);
 
-  // Levels of pair (i, j); adds the number of metric evaluations it
-  // performed to *metric_calls. Safe to call concurrently.
-  void Levels(std::uint32_t i, std::uint32_t j, Level* levels,
-              std::uint64_t* metric_calls) const {
-    for (std::size_t a = 0; a < resolved_.num_attributes(); ++a) {
-      if (a < attrs_.size() && attrs_[a].interned) {
-        const AttrLevelSource& attr = attrs_[a];
-        const std::uint32_t ia = attr.index.row_ids[i];
-        const std::uint32_t ib = attr.index.row_ids[j];
-        if (attr.table != nullptr) {
-          levels[a] = attr.table->LevelOf(ia, ib);
-          continue;
-        }
-        if (ia == ib) {  // d(x, x) = 0, a metric axiom.
-          levels[a] = 0;
-          continue;
-        }
-      }
-      levels[a] = resolved_.ComputeLevel(relation_, i, j, a);
-      ++*metric_calls;
-    }
-  }
+  // Levels of the pairs (i, js[k]) for k in [0, count), pair-major:
+  // levels[k * num_attributes() + a]. Per attribute: a table lookup,
+  // else level 0 for equal values and one OneToManyDistances::Row call
+  // for the rest (at most kMaxRun pairs each). Ids may repeat. Adds the
+  // number of metric evaluations performed to *metric_calls. Safe to
+  // call concurrently.
+  void Row(std::uint32_t i, const std::uint32_t* js, std::size_t count,
+           Level* levels, std::uint64_t* metric_calls) const;
 
   std::uint64_t precomputed_distances() const {
     return precomputed_distances_;
@@ -161,14 +174,10 @@ class PairLevelSource {
     return n;
   }
 
-  // Heap bytes across the per-attribute level tables (mem.value_cache).
-  std::size_t cache_bytes() const {
-    std::size_t bytes = 0;
-    for (const auto& a : attrs_) {
-      if (a.table != nullptr) bytes += a.table->MemoryUsageBytes();
-    }
-    return bytes;
-  }
+  // Heap bytes of the value cache: level tables, interned row ids and
+  // value pointers, and the one-to-many rows' per-value data
+  // (mem.value_cache_bytes).
+  std::size_t cache_bytes() const;
 
  private:
   const Relation& relation_;
@@ -177,31 +186,87 @@ class PairLevelSource {
   std::uint64_t precomputed_distances_ = 0;
 };
 
+// Walks positions [begin, end) whose triangular pair indices index(p)
+// over n rows ascend with p, in runs: fn(first, i, js, count) receives
+// positions [first, first + count), all pairs of row i, with their
+// second rows in js[0..count) and count <= PairLevelSource::kMaxRun.
+// The first pair is decoded; later ones step from row to row by the
+// row-start bound (row r + 1 starts n - 1 - r indices after row r),
+// re-decoding only after long jumps, so no pair costs a sqrt.
+template <typename Index, typename Fn>
+void ForEachPairRun(std::uint64_t n, std::size_t begin, std::size_t end,
+                    const Index& index, const Fn& fn) {
+  if (begin >= end) return;
+  constexpr int kMaxSteps = 16;
+  std::uint32_t js[PairLevelSource::kMaxRun];
+  std::uint64_t i = 0;
+  std::uint64_t row_start = 0;   // index of pair (i, i + 1)
+  std::uint64_t next_start = 0;  // index of pair (i + 1, i + 2)
+  const auto seek = [&](std::uint64_t k) {
+    i = DecodeTriangularPair(k, n).first;
+    row_start = EncodeTriangularPair(i, i + 1, n);
+    next_start = row_start + (n - 1 - i);
+  };
+  seek(index(begin));
+  std::size_t first = begin;
+  std::size_t count = 0;
+  for (std::size_t p = begin; p < end; ++p) {
+    const std::uint64_t k = index(p);
+    if (k >= next_start) {
+      if (count > 0) fn(first, static_cast<std::uint32_t>(i), js, count);
+      count = 0;
+      for (int step = 0; step < kMaxSteps && k >= next_start; ++step) {
+        ++i;
+        row_start = next_start;
+        next_start += n - 1 - i;
+      }
+      if (k >= next_start) seek(k);
+    }
+    if (count == 0) first = p;
+    js[count++] = static_cast<std::uint32_t>(i + 1 + (k - row_start));
+    if (count == PairLevelSource::kMaxRun) {
+      fn(first, static_cast<std::uint32_t>(i), js, count);
+      count = 0;
+    }
+  }
+  if (count > 0) fn(first, static_cast<std::uint32_t>(i), js, count);
+}
+
+// Fills rows [first, last) of `out` (already sized) with the levels of
+// the pairs at ascending triangular indices index(first..last) over n
+// rows, on `threads` workers. Chunks come from ParallelForTuples, so
+// the result is bit-identical at any thread count. Returns the number
+// of metric evaluations performed.
+template <typename Index>
+std::uint64_t FillPairRows(const PairLevelSource& source, std::uint64_t n,
+                           const char* phase, std::size_t first,
+                           std::size_t last, const Index& index,
+                           std::size_t threads, MatchingRelation* out) {
+  const std::size_t num_attrs = out->num_attributes();
+  std::atomic<std::uint64_t> metric_calls{0};
+  ParallelForTuples(
+      phase, first, last, threads, [&](std::size_t begin, std::size_t end) {
+        std::vector<Level> levels(PairLevelSource::kMaxRun * num_attrs);
+        std::uint64_t calls = 0;
+        ForEachPairRun(n, begin, end, index,
+                       [&](std::size_t row, std::uint32_t i,
+                           const std::uint32_t* js, std::size_t count) {
+                         source.Row(i, js, count, levels.data(), &calls);
+                         for (std::size_t p = 0; p < count; ++p) {
+                           out->SetTuple(row + p, i, js[p],
+                                         &levels[p * num_attrs]);
+                         }
+                       });
+        metric_calls.fetch_add(calls, std::memory_order_relaxed);
+      });
+  return metric_calls.load(std::memory_order_relaxed);
+}
+
 // Builds M over `attributes` (the union of the rule's X and Y). Fails on
 // unknown attributes/metrics or a dmax outside [1, 255].
 Result<MatchingRelation> BuildMatchingRelation(
     const Relation& relation, const std::vector<std::string>& attributes,
     const MatchingOptions& options);
-
-// Maps one raw distance to a level (exposed for tests and the detector).
-Level BucketDistance(double raw, double scale, int dmax);
-
-// Decodes the k-th pair (0-based) of the row-major upper-triangular
-// enumeration over n items into (i, j) with i < j. The builder chunks
-// the triangular pair range by this global index, so any chunking
-// reproduces the sequential pair order.
-//
-// Overflow note: pair indices are 64-bit BY CONTRACT. n(n-1)/2 exceeds
-// uint32_t already at n ≈ 93k, so every call site must carry k (and any
-// row-offset arithmetic) in std::uint64_t — audited in PR 7, regression-
-// tested at n = 100k in tests/approx_test.cc.
-std::pair<std::uint32_t, std::uint32_t> DecodeTriangularPair(std::uint64_t k,
-                                                             std::uint64_t n);
-
-// Inverse of DecodeTriangularPair: the global triangular index of pair
-// (i, j), i < j < n. All arithmetic in 64 bits.
-std::uint64_t EncodeTriangularPair(std::uint64_t i, std::uint64_t j,
-                                   std::uint64_t n);
 
 }  // namespace dd
 

@@ -47,13 +47,18 @@ std::unique_ptr<ValuePairLevelTable> ValuePairLevelTable::Build(
                 // The chunk covers the tail of row i, whole rows, then
                 // the head of a last row, in runs of at most kRun cells.
                 constexpr std::uint64_t kRun = 1024;
+                std::uint32_t ids[kRun] = {};
                 double raw[kRun] = {};
                 auto [i, j] = DecodeTriangularPair(begin, d);
                 for (std::size_t k = begin; k < end;) {
                   const std::uint64_t j_end =
                       std::min({d, j + (end - k), j + kRun});
-                  rows->Row(i, j, j_end, raw);
-                  for (std::uint64_t r = 0; r < j_end - j; ++r) {
+                  const std::size_t count = j_end - j;
+                  for (std::size_t r = 0; r < count; ++r) {
+                    ids[r] = static_cast<std::uint32_t>(j + r);
+                  }
+                  rows->Row(i, ids, count, raw);
+                  for (std::size_t r = 0; r < count; ++r) {
                     out[k++] = BucketDistance(raw[r], scale, dmax);
                   }
                   j = static_cast<std::uint32_t>(j_end);

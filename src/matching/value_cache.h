@@ -9,10 +9,14 @@
 //
 // Determinism: the table is a pure function of the column contents and
 // the metric configuration. It is filled through the metric's
-// one-to-many entry point (DistanceMetric::OneToMany) at the same cap
-// and with the same BucketDistance mapping the direct path uses, and
-// both honour the BoundedDistance contract, so cached and uncached
-// builds produce bit-identical matching relations at any thread count.
+// one-to-many entry point (DistanceMetric::OneToMany), in runs of up to
+// 1 024 consecutive value ids, at the same cap and with the same
+// BucketDistance mapping the direct path uses, and both honour the
+// BoundedDistance contract, so cached and uncached builds produce
+// bit-identical matching relations at any thread count. Columns whose
+// table would not pay off keep the interning alone: PairLevelSource
+// (matching/builder.h) then evaluates each data row's pairs through the
+// same one-to-many entry point over the interned values.
 
 #ifndef DD_MATCHING_VALUE_CACHE_H_
 #define DD_MATCHING_VALUE_CACHE_H_

@@ -185,9 +185,9 @@ double LevenshteinMetric::BoundedDistance(std::string_view a,
 
 namespace {
 
-// Rows of the value-pair table: each row value's Myers pattern is built
-// once, and the length difference and the 64-bin bag distance reject
-// most pairs before any kernel runs.
+// One-to-many rows: each row value's Myers pattern is built once per
+// Row call, and the length difference and the 64-bin bag distance
+// reject most pairs before any kernel runs.
 class LevenshteinRows : public OneToManyDistances {
  public:
   LevenshteinRows(const LevenshteinMetric& metric,
@@ -203,28 +203,35 @@ class LevenshteinRows : public OneToManyDistances {
     for (const std::string* v : values) histograms_.push_back(lev::Histogram(*v));
   }
 
-  void Row(std::size_t i, std::size_t j_begin, std::size_t j_end,
+  void Row(std::uint32_t i, const std::uint32_t* js, std::size_t count,
            double* out) const override {
     const std::string& a = *values_[i];
-    lev::Pattern pattern;
+    const lev::CharHistogram& a_histogram = histograms_[i];
+    // Reassigning clears only the slots the previous row set, so each
+    // thread zero-fills its 2 KB of masks once, not once per row.
+    thread_local lev::Pattern pattern;
     if (a.size() <= 64) pattern.Assign(a);
-    for (std::size_t j = j_begin; j < j_end; ++j) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint32_t j = js[k];
       const std::string& b = *values_[j];
-      double& result = out[j - j_begin];
       const std::size_t len_diff =
           a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
       if (len_diff > capped_ ||
-          lev::BagDistance(histograms_[i], histograms_[j]) > capped_) {
-        result = cap_ + 1.0;
+          lev::BagDistance(a_histogram, histograms_[j]) > capped_) {
+        out[k] = cap_ + 1.0;
       } else if (a.size() > 64) {
         // Patterns longer than a word: the per-pair path (the band, or
         // Myers with the shorter side as the pattern).
-        result = metric_.BoundedDistance(a, b, cap_);
+        out[k] = metric_.BoundedDistance(a, b, cap_);
       } else {
         const std::size_t d = lev::Myers64(pattern, b, capped_);
-        result = d > capped_ ? cap_ + 1.0 : static_cast<double>(d);
+        out[k] = d > capped_ ? cap_ + 1.0 : static_cast<double>(d);
       }
     }
+  }
+
+  std::size_t MemoryUsageBytes() const override {
+    return histograms_.capacity() * sizeof(lev::CharHistogram);
   }
 
  private:

@@ -13,16 +13,18 @@
 //    most 64 bytes. Takes a cap: exact when the distance is <= cap,
 //    cap + 1 as soon as the score exceeds cap plus the text still to
 //    read. The pattern's match masks (Pattern) are built once and can
-//    be reused across many texts; the one-to-many matching-build path
-//    (LevenshteinMetric::OneToMany) builds one per table row.
+//    be reused across many texts; the one-to-many path
+//    (LevenshteinMetric::OneToMany) assigns one per Row call — a dense
+//    run of a value-pair table row, or the sparse sampled pairs of one
+//    data row — into a thread-local Pattern.
 //  * Banded — diagonal band of half-width `cap`; O(len·cap) and allowed
 //    to stop as soon as the whole band exceeds the cap. BoundedDistance
 //    uses it when both strings are longer than 64 bytes.
 //  * BagDistance — a lower bound on the edit distance from character
 //    histograms folded to 64 bins (CharHistogram). Folding can only
 //    merge counts, which can only lower the bag distance, so it stays a
-//    valid lower bound; OneToMany rejects a pair by it before running a
-//    kernel.
+//    valid lower bound; OneToMany keeps one histogram per value and
+//    rejects a pair by it before running a kernel.
 
 #ifndef DD_METRIC_LEVENSHTEIN_H_
 #define DD_METRIC_LEVENSHTEIN_H_

@@ -15,10 +15,10 @@ class PairwiseRows : public OneToManyDistances {
                const std::vector<const std::string*>& values, double cap)
       : metric_(metric), values_(values), cap_(cap) {}
 
-  void Row(std::size_t i, std::size_t j_begin, std::size_t j_end,
+  void Row(std::uint32_t i, const std::uint32_t* js, std::size_t count,
            double* out) const override {
-    for (std::size_t j = j_begin; j < j_end; ++j) {
-      out[j - j_begin] = metric_.BoundedDistance(*values_[i], *values_[j], cap_);
+    for (std::size_t k = 0; k < count; ++k) {
+      out[k] = metric_.BoundedDistance(*values_[i], *values_[js[k]], cap_);
     }
   }
 

@@ -8,6 +8,8 @@
 #ifndef DD_METRIC_METRIC_H_
 #define DD_METRIC_METRIC_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -29,10 +31,13 @@ namespace dd {
 // does.
 enum class BlockingFamily { kNone, kTokenSet, kQGram, kEdit, kNumeric };
 
-// BoundedDistance from one value of a fixed set to a run of later
-// values — the row form the matching build's value-pair table
-// (matching/value_cache.h) evaluates. Made by DistanceMetric::OneToMany
-// once per set, so an implementation can prepare per-value data once.
+// BoundedDistance from one value of a fixed set to a list of others —
+// the row form behind the matching build's value-pair table
+// (matching/value_cache.h), which passes runs of consecutive ids, and
+// behind PairLevelSource::Row (matching/builder.h), which passes the
+// sparse, sorted ids of one data row's sampled pairs. Made by
+// DistanceMetric::OneToMany once per set, so an implementation can
+// prepare per-value data once.
 class OneToManyDistances {
  public:
   OneToManyDistances() = default;
@@ -40,13 +45,15 @@ class OneToManyDistances {
   OneToManyDistances& operator=(const OneToManyDistances&) = delete;
   virtual ~OneToManyDistances() = default;
 
-  // out[j - j_begin] = BoundedDistance(*values[i], *values[j], cap) for
-  // every j in [j_begin, j_end), under BoundedDistance's contract.
-  // Safe to call concurrently.
-  virtual void Row(std::size_t i, std::size_t j_begin, std::size_t j_end,
-                   double* out) const = 0;
-};
+  // out[k] = BoundedDistance(*values[i], *values[js[k]], cap) for every
+  // k in [0, count), under BoundedDistance's contract. Ids may repeat
+  // and may equal i. Safe to call concurrently.
+  virtual void Row(std::uint32_t i, const std::uint32_t* js,
+                   std::size_t count, double* out) const = 0;
 
+  // Heap bytes of the per-value data prepared at construction.
+  virtual std::size_t MemoryUsageBytes() const { return 0; }
+};
 // A distance function on attribute values. Implementations must be
 // symmetric, non-negative, and return 0 for identical inputs.
 class DistanceMetric {
@@ -100,9 +107,10 @@ class DistanceMetric {
 // applies the length-difference lower bound, runs the Myers kernel
 // capped, and for long strings uses a diagonal band of width 2*cap+1;
 // both return cap + 1 as soon as the distance provably exceeds cap. A
-// NaN cap means no cap. OneToMany builds each row value's Myers pattern
-// once and rejects pairs by the length difference and a 64-bin bag
-// distance first (kernels in metric/levenshtein.h).
+// NaN cap means no cap. OneToMany keeps a 64-bin character histogram
+// per value, builds each row value's Myers pattern once per Row call,
+// and rejects pairs by the length difference and the bag distance
+// before any kernel runs (kernels in metric/levenshtein.h).
 class LevenshteinMetric : public DistanceMetric {
  public:
   std::string_view name() const override { return "levenshtein"; }

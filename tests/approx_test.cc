@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -119,6 +120,55 @@ TEST(TriangularPairTest, RoundTripAt100kRows) {
   }
 }
 
+// ForEachPairRun steps from row to row instead of decoding every pair;
+// its runs must reproduce DecodeTriangularPair position by position.
+// Covers contiguous ranges, rows longer than one run, gaps of one row,
+// gaps past the stepping limit (the re-decode path), and n = 100k.
+TEST(TriangularPairTest, PairRunsMatchDecode) {
+  Rng rng(20261017);
+  const auto check = [](std::uint64_t n, const std::vector<std::uint64_t>& ks,
+                        std::size_t begin, std::size_t end) {
+    std::size_t next = begin;
+    ForEachPairRun(
+        n, begin, end, [&](std::size_t p) { return ks[p]; },
+        [&](std::size_t first, std::uint32_t i, const std::uint32_t* js,
+            std::size_t count) {
+          ASSERT_EQ(first, next);
+          ASSERT_GT(count, 0u);
+          ASSERT_LE(count, PairLevelSource::kMaxRun);
+          for (std::size_t p = 0; p < count; ++p) {
+            const auto want = DecodeTriangularPair(ks[first + p], n);
+            ASSERT_EQ(i, want.first) << "n=" << n << " k=" << ks[first + p];
+            ASSERT_EQ(js[p], want.second) << "n=" << n << " k=" << ks[first + p];
+          }
+          next = first + count;
+        });
+    EXPECT_EQ(next, std::max(begin, end));
+  };
+  for (const std::uint64_t n : {2ull, 3ull, 57ull, 3001ull, 100000ull}) {
+    const std::uint64_t total = n * (n - 1) / 2;
+    // Every pair (small n), or a window crossing rows and run limits.
+    std::vector<std::uint64_t> dense;
+    const std::uint64_t from = total > 20000 ? total / 3 : 0;
+    for (std::uint64_t k = from; k < std::min(total, from + 20000); ++k) {
+      dense.push_back(k);
+    }
+    check(n, dense, 0, dense.size());
+    check(n, dense, dense.size() / 2, dense.size());
+    // Sparse sorted draws at several densities, so gaps span from a few
+    // indices to many rows.
+    for (const std::size_t draws : {1, 5, 200, 5000}) {
+      std::set<std::uint64_t> picked;
+      while (picked.size() < std::min<std::uint64_t>(draws, total)) {
+        picked.insert(rng.NextBounded(total));
+      }
+      const std::vector<std::uint64_t> ks(picked.begin(), picked.end());
+      check(n, ks, 0, ks.size());
+      check(n, ks, ks.size() / 3, ks.size());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // PairSampler
 
@@ -172,6 +222,20 @@ TEST(PairSamplerTest, SameSeedSameSample) {
   EXPECT_EQ(a.GrowTo(500), b.GrowTo(500));
   PairSampler c(5000, 1235, {});
   EXPECT_NE(a.GrowTo(1000), c.GrowTo(1000));
+}
+
+// The drawn-index set's bucket array is part of the sampler's memory:
+// reserving for the target allocates it before any draw lands.
+TEST(PairSamplerTest, MemoryCountsHashBuckets) {
+  const std::vector<std::uint64_t> excluded = {1, 2, 3};
+  PairSampler sampler(1000000, 11, excluded);
+  EXPECT_EQ(sampler.GrowTo(1000).size(), 1000u);
+  std::unordered_set<std::uint64_t> same_reserve;
+  same_reserve.reserve(1000);
+  EXPECT_GE(sampler.MemoryUsageBytes(),
+            excluded.size() * sizeof(std::uint64_t) +
+                1000 * (sizeof(std::uint64_t) + 2 * sizeof(void*)) +
+                same_reserve.bucket_count() * sizeof(void*));
 }
 
 // ---------------------------------------------------------------------
@@ -550,6 +614,56 @@ TEST(SampledBuilderTest, OddOffsetGrowMatchesSingleThread) {
     EXPECT_EQ(SerializeMatchingRelation(sample->near()),
               SerializeMatchingRelation(reference->near()))
         << "threads=" << threads;
+  }
+}
+
+// Every stored near and tail row holds ResolvedMetrics::ComputeLevels
+// of its own pair, at any thread count and after a GrowTo appends to
+// the tail. Title and author have more distinct values than pairs to
+// compute here, so they take the one-to-many rows, not tables.
+TEST(SampledBuilderTest, StoredRowsMatchComputeLevels) {
+  CoraOptions coptions;
+  coptions.num_entities = 60;
+  const GeneratedData cora = GenerateCora(coptions);
+  const std::vector<std::string> attrs = {"author", "title", "venue", "year"};
+  for (const std::size_t threads : {1u, 2u, 7u}) {
+    MatchingOptions matching;
+    matching.dmax = 10;
+    matching.threads = threads;
+    matching.metric_overrides = {{"year", "qgram2"}};
+    ApproxOptions approx;
+    approx.sample_target = 700;
+    approx.seed = 79;
+    auto sample =
+        SampledMatchingBuilder::Build(cora.relation, attrs, matching, approx);
+    ASSERT_TRUE(sample.ok());
+    auto resolved =
+        ResolveMatchingMetrics(cora.relation.schema(), attrs, matching);
+    ASSERT_TRUE(resolved.ok());
+    const auto expect_rows = [&](const MatchingRelation& m,
+                                 const std::string& label) {
+      std::vector<Level> want(attrs.size());
+      for (std::size_t row = 0; row < m.num_tuples(); ++row) {
+        const auto [i, j] = m.pair(row);
+        resolved->ComputeLevels(cora.relation, i, j, want.data());
+        for (std::size_t a = 0; a < attrs.size(); ++a) {
+          ASSERT_EQ(m.level(row, a), want[a])
+              << label << " row " << row << " (" << i << "," << j
+              << ") attr " << attrs[a] << " threads=" << threads;
+        }
+      }
+    };
+    EXPECT_GT((*sample)->near_pairs(), 0u);
+    for (const char* attr : {"author", "title"}) {
+      const std::uint64_t d =
+          InternColumn(cora.relation, *cora.relation.schema().IndexOf(attr))
+              .distinct();
+      ASSERT_GE(d * (d - 1) / 2, (*sample)->near_pairs() + 700) << attr;
+    }
+    expect_rows((*sample)->near(), "near");
+    expect_rows((*sample)->tail(), "tail");
+    EXPECT_GT((*sample)->GrowTo(2100), 0u);
+    expect_rows((*sample)->tail(), "grown tail");
   }
 }
 

@@ -1,9 +1,13 @@
 #include "matching/builder.h"
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "data/generators.h"
 #include "matching/serialization.h"
 #include "matching/value_cache.h"
@@ -270,6 +274,110 @@ TEST(MatchingBuilderTest, OddPairCountBitIdenticalAcrossThreads) {
       }
     }
   }
+}
+
+// PairLevelSource::Row against per-pair ResolvedMetrics::ComputeLevel
+// for every built-in metric, with the value cache off, on, and on with
+// tables forced off (every attribute on its one-to-many rows). Rows are
+// sorted random id lists with repeats, the row itself, ids below it and
+// runs past kMaxRun; values include empty strings, duplicates and
+// strings over 64 bytes. Scales give fractional and huge raw caps.
+TEST(MatchingRowEntryTest, RowMatchesComputeLevel) {
+  Rng rng(91);
+  const std::string base =
+      "Proceedings of the International Conference on Data Engineering, "
+      "Washington DC, USA";  // 83 bytes
+  const std::vector<std::string> pool = {
+      "", "a", "12", "12.5", "-3", "abc def", "def abc abc", base,
+      base + "!", base.substr(0, 64), base.substr(0, 65), base.substr(3),
+      "West Wood Hotel", "west wood hotel", "Chicago, IL", "chicago"};
+  Relation relation(Schema({Attribute{"s", AttributeType::kString},
+                            Attribute{"t", AttributeType::kString}}));
+  for (int r = 0; r < 120; ++r) {
+    std::string s = pool[rng.NextBounded(pool.size())];
+    if (!s.empty() && rng.NextBool(0.4)) {
+      s[rng.NextBounded(s.size())] = static_cast<char>('a' + rng.NextBounded(26));
+    }
+    ASSERT_TRUE(
+        relation.AddRow({s, pool[rng.NextBounded(pool.size())]}).ok());
+  }
+  const std::uint32_t n = static_cast<std::uint32_t>(relation.num_rows());
+  for (const char* metric : {"levenshtein", "qgram2", "qgram3", "jaccard",
+                             "cosine", "numeric_abs"}) {
+    for (const double scale : {0.0, 0.37, 1e-300}) {  // 0: the default
+      for (int mode = 0; mode < 3; ++mode) {
+        MatchingOptions options;
+        options.dmax = 9;
+        options.metric_overrides = {{"s", metric}, {"t", metric}};
+        if (scale > 0.0) options.scale_overrides = {{"s", scale}};
+        options.value_cache = mode != 0;
+        if (mode == 2) options.value_cache_max_cells = 0;
+        auto resolved =
+            ResolveMatchingMetrics(relation.schema(), {"s", "t"}, options);
+        ASSERT_TRUE(resolved.ok());
+        const PairLevelSource source(relation, *resolved, options,
+                                     /*pairs_to_compute=*/1u << 20,
+                                     /*threads=*/2);
+        EXPECT_EQ(source.tables_built(), mode == 1 ? 2u : 0u);
+        for (int trial = 0; trial < 6; ++trial) {
+          const auto i = static_cast<std::uint32_t>(rng.NextBounded(n));
+          std::vector<std::uint32_t> js = {i, i};
+          const std::size_t count = trial == 0
+                                        ? PairLevelSource::kMaxRun + 300
+                                        : rng.NextBounded(3 * n);
+          for (std::size_t k = 0; k < count; ++k) {
+            js.push_back(static_cast<std::uint32_t>(rng.NextBounded(n)));
+          }
+          std::sort(js.begin(), js.end());
+          std::vector<Level> levels(js.size() * 2, 255);
+          std::uint64_t calls = 0;
+          source.Row(i, js.data(), js.size(), levels.data(), &calls);
+          std::uint64_t distinct_pairs = 0;
+          for (std::size_t k = 0; k < js.size(); ++k) {
+            for (std::size_t a = 0; a < 2; ++a) {
+              const std::size_t col = resolved->attr_idx[a];
+              distinct_pairs += relation.at(i, col) != relation.at(js[k], col);
+              ASSERT_EQ(levels[k * 2 + a],
+                        resolved->ComputeLevel(relation, i, js[k], a))
+                  << metric << " scale=" << scale << " mode=" << mode
+                  << " pair (" << i << "," << js[k] << ") attr " << a;
+            }
+          }
+          // Tables answer without the metric; the rows skip equal values.
+          const std::uint64_t want_calls =
+              mode == 0 ? js.size() * 2 : mode == 1 ? 0 : distinct_pairs;
+          EXPECT_EQ(calls, want_calls) << metric << " mode=" << mode;
+        }
+      }
+    }
+  }
+}
+
+// mem.value_cache_bytes covers the interned row ids and value pointers
+// and the one-to-many rows' per-value data, not only the level tables.
+TEST(MatchingRowEntryTest, CacheBytesCountInternedValuesAndRowData) {
+  Relation relation(Schema({Attribute{"s", AttributeType::kString}}));
+  for (int r = 0; r < 200; ++r) {
+    ASSERT_TRUE(relation.AddRow({"value " + std::to_string(r % 50)}).ok());
+  }
+  MatchingOptions options;
+  auto resolved = ResolveMatchingMetrics(relation.schema(), {"s"}, options);
+  ASSERT_TRUE(resolved.ok());
+  const std::size_t interned =
+      200 * sizeof(std::uint32_t) + 50 * sizeof(const std::string*);
+  const std::size_t table = 50 * 49 / 2;
+  const PairLevelSource with_table(relation, *resolved, options, 1u << 20, 1);
+  ASSERT_EQ(with_table.tables_built(), 1u);
+  EXPECT_GE(with_table.cache_bytes(), interned + table);
+  // Tables forced off: the Levenshtein rows keep one 64-byte character
+  // histogram per distinct value.
+  options.value_cache_max_cells = 0;
+  const PairLevelSource rows_only(relation, *resolved, options, 1u << 20, 1);
+  ASSERT_EQ(rows_only.tables_built(), 0u);
+  EXPECT_GE(rows_only.cache_bytes(), interned + 50 * 64);
+  options.value_cache = false;
+  const PairLevelSource uncached(relation, *resolved, options, 1u << 20, 1);
+  EXPECT_EQ(uncached.cache_bytes(), 0u);
 }
 
 TEST(MatchingRelationTest, IndexOf) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -173,7 +174,8 @@ TEST(LevenshteinTest, NanCapReturnsExactDistance) {
             lev.Distance(long_a, long_b));
   std::vector<const std::string*> values = {&long_a, &long_b};
   double row = 0.0;
-  lev.OneToMany(values, nan)->Row(0, 1, 2, &row);
+  const std::uint32_t other = 1;
+  lev.OneToMany(values, nan)->Row(0, &other, 1, &row);
   EXPECT_EQ(row, lev.Distance(long_a, long_b));
 }
 
@@ -226,6 +228,15 @@ std::vector<std::string> KernelTestValues(Rng& rng, std::size_t count) {
     }
   }
   return values;
+}
+
+// The consecutive ids [begin, end): a dense run of a table row.
+std::vector<std::uint32_t> IdRange(std::size_t begin, std::size_t end) {
+  std::vector<std::uint32_t> ids;
+  for (std::size_t j = begin; j < end; ++j) {
+    ids.push_back(static_cast<std::uint32_t>(j));
+  }
+  return ids;
 }
 
 void ExpectWithinContract(double got, std::size_t exact, double cap,
@@ -285,7 +296,9 @@ TEST(LevenshteinOneToManyTest, RowsMatchReferenceDp) {
     for (std::size_t i = 0; i + 1 < n; ++i) {
       // A full row, then a run from its middle (as a ParallelFor chunk
       // boundary would cut it).
-      rows->Row(i, i + 1, n, out.data());
+      const std::vector<std::uint32_t> row = IdRange(i + 1, n);
+      rows->Row(static_cast<std::uint32_t>(i), row.data(), row.size(),
+                out.data());
       for (std::size_t j = i + 1; j < n; ++j) {
         ExpectWithinContract(out[j - i - 1], exact[i * n + j], cap,
                              "cap=" + std::to_string(cap) + " (" +
@@ -293,7 +306,9 @@ TEST(LevenshteinOneToManyTest, RowsMatchReferenceDp) {
                                  ")");
       }
       const std::size_t mid = (i + 1 + n) / 2;
-      rows->Row(i, mid, n, out.data());
+      const std::vector<std::uint32_t> tail = IdRange(mid, n);
+      rows->Row(static_cast<std::uint32_t>(i), tail.data(), tail.size(),
+                out.data());
       for (std::size_t j = mid; j < n; ++j) {
         ExpectWithinContract(out[j - mid], exact[i * n + j], cap, "mid run");
       }
@@ -312,15 +327,17 @@ TEST(LevenshteinOneToManyTest, ParallelRowsMatchSerial) {
   LevenshteinMetric metric;
   const auto rows = metric.OneToMany(values, 10.0);
   std::vector<double> serial(n * n, -1.0);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    rows->Row(i, i + 1, n, &serial[i * n + i + 1]);
-  }
+  const auto row = [&](std::size_t i, double* out) {
+    const std::vector<std::uint32_t> ids = IdRange(i + 1, n);
+    rows->Row(static_cast<std::uint32_t>(i), ids.data(), ids.size(), out);
+  };
+  for (std::size_t i = 0; i + 1 < n; ++i) row(i, &serial[i * n + i + 1]);
   for (const std::size_t threads : {2u, 7u}) {
     std::vector<double> parallel(n * n, -1.0);
     ParallelFor(n - 1, threads,
                 [&](std::size_t, std::size_t begin, std::size_t end) {
                   for (std::size_t i = begin; i < end; ++i) {
-                    rows->Row(i, i + 1, n, &parallel[i * n + i + 1]);
+                    row(i, &parallel[i * n + i + 1]);
                   }
                 });
     EXPECT_EQ(parallel, serial) << "threads=" << threads;
@@ -344,11 +361,73 @@ TEST(OneToManyDefaultTest, MatchesPairwiseBoundedDistance) {
       const auto rows = (*metric)->OneToMany(values, cap);
       std::vector<double> out(n);
       for (std::size_t i = 0; i + 1 < n; ++i) {
-        rows->Row(i, i + 1, n, out.data());
+        const std::vector<std::uint32_t> row = IdRange(i + 1, n);
+        rows->Row(static_cast<std::uint32_t>(i), row.data(), row.size(),
+                  out.data());
         for (std::size_t j = i + 1; j < n; ++j) {
           EXPECT_EQ(out[j - i - 1],
                     (*metric)->BoundedDistance(*values[i], *values[j], cap))
               << name << " cap=" << cap << " (" << i << "," << j << ")";
+        }
+      }
+    }
+  }
+}
+
+// Sorted random ids like the rows of the sampled build: repeats, the
+// row's own id, and ids on both sides of it.
+std::vector<std::uint32_t> SparseIds(Rng& rng, std::size_t n,
+                                     std::uint32_t i) {
+  std::vector<std::uint32_t> ids = {i, i};
+  const std::size_t count = rng.NextBounded(3 * n);
+  for (std::size_t k = 0; k < count; ++k) {
+    ids.push_back(static_cast<std::uint32_t>(rng.NextBounded(n)));
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// The id-list row of every built-in metric against its per-pair
+// BoundedDistance, over empty, equal, same-bin, token and numeric
+// values and values longer than 64 bytes, at negative, fractional,
+// huge, infinite and NaN caps. Within the cap (or with no cap) the
+// results must be equal; above it both must exceed the cap.
+TEST(OneToManyTest, SparseRowsMatchBoundedDistanceForEveryMetric) {
+  Rng rng(77);
+  std::vector<std::string> strings = KernelTestValues(rng, 60);
+  for (const char* s : {"", "", "12", "12.5", "-3", "1e3", "abc def abc",
+                        "def abc", "West Wood Hotel", "west wood hotel"}) {
+    strings.push_back(s);
+  }
+  std::vector<const std::string*> values;
+  for (const std::string& s : strings) values.push_back(&s);
+  const std::size_t n = values.size();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const char* name : {"levenshtein", "qgram2", "qgram3", "jaccard",
+                           "cosine", "numeric_abs"}) {
+    auto metric = MetricRegistry::Default().Create(name);
+    ASSERT_TRUE(metric.ok());
+    for (const double cap :
+         {-1.0, 0.0, 0.5, 1.0, 2.7, 5.0, 10.0, 131.0, 1e9, 1e300, inf, nan}) {
+      const auto rows = (*metric)->OneToMany(values, cap);
+      for (int trial = 0; trial < 12; ++trial) {
+        const auto i = static_cast<std::uint32_t>(rng.NextBounded(n));
+        const std::vector<std::uint32_t> ids = SparseIds(rng, n, i);
+        std::vector<double> out(ids.size());
+        rows->Row(i, ids.data(), ids.size(), out.data());
+        for (std::size_t k = 0; k < ids.size(); ++k) {
+          const double want =
+              (*metric)->BoundedDistance(*values[i], *values[ids[k]], cap);
+          const std::string label = std::string(name) + " cap=" +
+                                    std::to_string(cap) + " (" +
+                                    std::to_string(i) + "," +
+                                    std::to_string(ids[k]) + ")";
+          if (std::isnan(cap) || !(want > cap)) {
+            ASSERT_EQ(out[k], want) << label;
+          } else {
+            ASSERT_GT(out[k], cap) << label;
+          }
         }
       }
     }
