@@ -17,14 +17,19 @@
 //  * kEdit      — minhash banding over 2-grams, with a length bucket
 //                 folded into each band key (|len(a)-len(b)| lower-
 //                 bounds edit distance, so distant length buckets can
-//                 never be near); adjacent buckets are bridged by
-//                 emitting each value into its own and the next bucket.
-//  * kNumeric   — sort distinct values, pair each with its `window`
-//                 nearest neighbors.
+//                 never be near). Each value goes under two length
+//                 tags per band, 2·lb+2 and 2·lb+5, meant to bridge
+//                 adjacent buckets; an even tag never equals an odd
+//                 one, so only values of one length bucket collide.
+//  * kNumeric   — sort the distinct values that parse as finite
+//                 numbers, pair each with its `window` nearest
+//                 neighbors.
 //  * kNone      — the attribute contributes no candidates.
 //
 // Everything operates on distinct values (matching/value_cache.h
-// interning) and expands value-id pairs to row pairs at the end; all
+// interning) and expands value-id pairs to row pairs at the end. Both
+// kinds of pair are grouped by their first id into short sorted lists
+// (a count pass and a scatter pass), so no sort spans all pairs. All
 // hashing is seeded and the output is a sorted, deduplicated, capped
 // list of triangular pair indices — deterministic for a given relation
 // and options at any thread count.
@@ -53,6 +58,7 @@ struct LshOptions {
 };
 
 struct LshStats {
+  std::uint64_t raw_pairs = 0;        // row pairs expanded (pre-dedup)
   std::uint64_t candidate_pairs = 0;  // surfaced (post-dedup, pre-cap)
   std::uint64_t dropped = 0;          // cut by max_candidates / expansion cap
   std::uint64_t skipped_buckets = 0;  // buckets over max_bucket

@@ -59,8 +59,11 @@ Result<std::unique_ptr<SampledMatchingBuilder>> SampledMatchingBuilder::Build(
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("approx.near_pairs").Add(builder->near_pairs());
-  registry.GetCounter("approx.blocking_dropped")
-      .Add(builder->lsh_stats_.dropped);
+  const LshStats& lsh = builder->lsh_stats_;
+  registry.GetCounter("approx.blocking_dropped").Add(lsh.dropped);
+  registry.GetCounter("approx.lsh_raw_pairs").Add(lsh.raw_pairs);
+  registry.GetCounter("approx.lsh_candidate_pairs").Add(lsh.candidate_pairs);
+  registry.GetCounter("approx.lsh_skipped_buckets").Add(lsh.skipped_buckets);
   DD_LOG(INFO) << "approx matching built: " << builder->near_pairs()
                << " near + " << builder->tail_sampled() << " / "
                << builder->tail_population() << " tail pairs of "

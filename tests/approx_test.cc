@@ -6,10 +6,17 @@
 // sampled mode.
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,11 +30,15 @@
 #include "common/math_util.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/determiner.h"
 #include "core/measure_provider.h"
 #include "data/generators.h"
 #include "matching/builder.h"
 #include "matching/serialization.h"
+#include "matching/value_cache.h"
+#include "metric/metric.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace dd {
@@ -267,6 +278,404 @@ TEST(LshIndexTest, FindsDuplicateHeavyPairsDeterministically) {
   EXPECT_EQ(CollectNearPairs(cora.relation, *resolved, lsh, &stats2), pairs);
 }
 
+// Reference collector, the test oracle for CollectNearPairs: the
+// straightforward formulation that sorts and dedups all value pairs of
+// an attribute, then all row pairs, with the metric's numeric parse.
+// Output and stats must match it exactly. `cuts_in_pair` /
+// `cuts_in_self` count value pairs that the expansion budget cuts part
+// way through.
+namespace reference {
+
+std::uint64_t Mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t HashBytes(std::string_view s, std::uint64_t seed) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return Mix(h ^ seed);
+}
+
+void TokenFeatures(const std::string& value, std::uint64_t seed,
+                   std::vector<std::uint64_t>* out) {
+  std::size_t i = 0;
+  const std::size_t n = value.size();
+  while (i < n) {
+    while (i < n && std::isspace(static_cast<unsigned char>(value[i]))) ++i;
+    std::size_t start = i;
+    while (i < n && !std::isspace(static_cast<unsigned char>(value[i]))) ++i;
+    if (i > start) {
+      out->push_back(
+          HashBytes(std::string_view(value).substr(start, i - start), seed));
+    }
+  }
+}
+
+void QGramFeatures(const std::string& value, std::size_t q, std::uint64_t seed,
+                   std::vector<std::uint64_t>* out) {
+  if (value.size() < q) {
+    out->push_back(HashBytes(value, seed));
+    return;
+  }
+  for (std::size_t i = 0; i + q <= value.size(); ++i) {
+    out->push_back(HashBytes(std::string_view(value).substr(i, q), seed));
+  }
+}
+
+void MinhashSignature(const std::vector<std::uint64_t>& features,
+                      std::size_t num_hashes, std::uint64_t seed,
+                      std::vector<std::uint64_t>* sig) {
+  sig->assign(num_hashes, std::numeric_limits<std::uint64_t>::max());
+  for (std::uint64_t f : features) {
+    for (std::size_t h = 0; h < num_hashes; ++h) {
+      const std::uint64_t v = Mix(f ^ Mix(seed + h));
+      if (v < (*sig)[h]) (*sig)[h] = v;
+    }
+  }
+}
+
+std::uint64_t EncodeVidPair(std::uint32_t a, std::uint32_t b) {
+  if (a > b) std::swap(a, b);
+  return (static_cast<std::uint64_t>(a) << 32) | b;
+}
+
+std::vector<std::uint64_t> CollectNearPairs(const Relation& relation,
+                                            const ResolvedMetrics& resolved,
+                                            const approx::LshOptions& options,
+                                            LshStats* stats,
+                                            int* cuts_in_pair,
+                                            int* cuts_in_self) {
+  std::vector<std::uint64_t> out;
+  LshStats local;
+  const std::uint64_t n = relation.num_rows();
+  if (!options.enabled || n < 2) {
+    *stats = local;
+    return out;
+  }
+  const std::uint64_t expansion_budget = options.max_candidates * 2;
+
+  for (std::size_t a = 0; a < resolved.num_attributes(); ++a) {
+    const BlockingFamily family = resolved.metrics[a]->blocking_family();
+    if (family == BlockingFamily::kNone) continue;
+    const AttributeValueIndex index =
+        InternColumn(relation, resolved.attr_idx[a]);
+    const std::size_t distinct = index.distinct();
+    std::vector<std::uint64_t> vid_pairs;
+
+    if (family == BlockingFamily::kNumeric) {
+      std::vector<std::pair<double, std::uint32_t>> parsed;
+      for (std::size_t v = 0; v < distinct; ++v) {
+        double d = 0.0;
+        if (!ParseDouble(*index.values[v], &d) || !std::isfinite(d)) continue;
+        parsed.emplace_back(d, static_cast<std::uint32_t>(v));
+      }
+      std::sort(parsed.begin(), parsed.end());
+      for (std::size_t i = 0; i < parsed.size(); ++i) {
+        const std::size_t hi =
+            std::min(parsed.size(), i + 1 + options.numeric_window);
+        for (std::size_t w = i + 1; w < hi; ++w) {
+          vid_pairs.push_back(
+              EncodeVidPair(parsed[i].second, parsed[w].second));
+        }
+      }
+    } else {
+      const std::size_t num_hashes = options.bands * options.band_rows;
+      const std::uint64_t attr_seed =
+          Mix(options.hash_seed ^ (0xa11ce5ull + a));
+      std::size_t length_bucket_width = 1;
+      if (family == BlockingFamily::kEdit) {
+        const double cap =
+            static_cast<double>(resolved.dmax) / resolved.scales[a];
+        length_bucket_width =
+            std::max<std::size_t>(1, static_cast<std::size_t>(cap) + 1);
+      }
+      std::size_t q = 2;
+      if (family == BlockingFamily::kQGram) {
+        if (const auto* qg =
+                dynamic_cast<const QGramMetric*>(resolved.metrics[a].get())) {
+          q = qg->q();
+        }
+      }
+      std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
+      std::vector<std::uint64_t> features;
+      std::vector<std::uint64_t> sig;
+      for (std::size_t v = 0; v < distinct; ++v) {
+        features.clear();
+        if (family == BlockingFamily::kTokenSet) {
+          TokenFeatures(*index.values[v], attr_seed, &features);
+        } else {
+          QGramFeatures(*index.values[v], q, attr_seed, &features);
+        }
+        MinhashSignature(features, num_hashes, attr_seed, &sig);
+        for (std::size_t band = 0; band < options.bands; ++band) {
+          std::uint64_t key = Mix(attr_seed ^ (band + 1));
+          for (std::size_t r = 0; r < options.band_rows; ++r) {
+            key = Mix(key ^ sig[band * options.band_rows + r]);
+          }
+          if (family == BlockingFamily::kEdit) {
+            const std::uint64_t lb =
+                index.values[v]->size() / length_bucket_width;
+            buckets[Mix(key ^ (lb * 2 + 2))].push_back(
+                static_cast<std::uint32_t>(v));
+            buckets[Mix(key ^ ((lb + 1) * 2 + 3))].push_back(
+                static_cast<std::uint32_t>(v));
+          } else {
+            buckets[key].push_back(static_cast<std::uint32_t>(v));
+          }
+        }
+      }
+      for (const auto& [key, vids] : buckets) {
+        (void)key;
+        if (vids.size() < 2) continue;
+        if (vids.size() > options.max_bucket) {
+          ++local.skipped_buckets;
+          continue;
+        }
+        for (std::size_t i = 0; i < vids.size(); ++i) {
+          for (std::size_t j = i + 1; j < vids.size(); ++j) {
+            vid_pairs.push_back(EncodeVidPair(vids[i], vids[j]));
+          }
+        }
+      }
+    }
+
+    std::vector<std::vector<std::uint32_t>> rows_by_vid(distinct);
+    for (std::uint32_t row = 0; row < n; ++row) {
+      rows_by_vid[index.row_ids[row]].push_back(row);
+    }
+    for (std::uint32_t v = 0; v < distinct; ++v) {
+      if (rows_by_vid[v].size() >= 2) vid_pairs.push_back(EncodeVidPair(v, v));
+    }
+    std::sort(vid_pairs.begin(), vid_pairs.end());
+    vid_pairs.erase(std::unique(vid_pairs.begin(), vid_pairs.end()),
+                    vid_pairs.end());
+
+    for (std::uint64_t enc : vid_pairs) {
+      const std::uint32_t va = static_cast<std::uint32_t>(enc >> 32);
+      const std::uint32_t vb = static_cast<std::uint32_t>(enc);
+      const std::vector<std::uint32_t>& ra = rows_by_vid[va];
+      const std::vector<std::uint32_t>& rb = rows_by_vid[vb];
+      bool kept = false;
+      bool cut = false;
+      if (va == vb) {
+        for (std::size_t x = 0; x < ra.size(); ++x) {
+          for (std::size_t y = x + 1; y < ra.size(); ++y) {
+            if (out.size() < expansion_budget) {
+              out.push_back(EncodeTriangularPair(ra[x], ra[y], n));
+              kept = true;
+            } else {
+              ++local.dropped;
+              cut = true;
+            }
+          }
+        }
+      } else {
+        for (std::uint32_t ia : ra) {
+          for (std::uint32_t ib : rb) {
+            if (out.size() < expansion_budget) {
+              const auto [lo, hi] = std::minmax(ia, ib);
+              out.push_back(EncodeTriangularPair(lo, hi, n));
+              kept = true;
+            } else {
+              ++local.dropped;
+              cut = true;
+            }
+          }
+        }
+      }
+      if (kept && cut) ++*(va == vb ? cuts_in_self : cuts_in_pair);
+    }
+  }
+
+  local.raw_pairs = out.size();
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  local.candidate_pairs = out.size();
+  if (out.size() > options.max_candidates) {
+    local.dropped += out.size() - options.max_candidates;
+    out.resize(options.max_candidates);
+  }
+  *stats = local;
+  return out;
+}
+
+}  // namespace reference
+
+void ExpectSameStats(const LshStats& got, const LshStats& want,
+                     const std::string& label) {
+  EXPECT_EQ(got.raw_pairs, want.raw_pairs) << label;
+  EXPECT_EQ(got.candidate_pairs, want.candidate_pairs) << label;
+  EXPECT_EQ(got.dropped, want.dropped) << label;
+  EXPECT_EQ(got.skipped_buckets, want.skipped_buckets) << label;
+}
+
+// A relation with one column per blocking family (edit, token set,
+// q-gram, numeric) whose values come from small pools, so values repeat
+// and buckets fill; the pools include empty and space-only strings and
+// numbers with surrounding spaces.
+Relation RandomBlockingRelation(std::size_t rows, Rng* rng) {
+  static const char* const kWords[] = {"", " ", "  ", "ab", "abc", "abd",
+                                       "a b", "b a", "xyz", "xy z",
+                                       "abcdef", "abcdeg", "the cat"};
+  static const char* const kNumbers[] = {"", " ", "1", "2", "2 ", " 3",
+                                         "10", "11.5", "-4", "nan", "inf",
+                                         "x7", "1e3"};
+  Relation relation(Schema({Attribute{"edit", AttributeType::kString},
+                            Attribute{"tok", AttributeType::kString},
+                            Attribute{"qg", AttributeType::kString},
+                            Attribute{"num", AttributeType::kString}}));
+  const std::size_t pool = 1 + rng->NextBounded(std::size(kWords));
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<std::string> row;
+    for (int c = 0; c < 3; ++c) row.push_back(kWords[rng->NextBounded(pool)]);
+    row.push_back(kNumbers[rng->NextBounded(std::size(kNumbers))]);
+    EXPECT_TRUE(relation.AddRow(std::move(row)).ok());
+  }
+  return relation;
+}
+
+TEST(LshIndexTest, MatchesReferenceCollector) {
+  MatchingOptions matching;
+  matching.dmax = 4;
+  matching.metric_overrides = {
+      {"tok", "jaccard"}, {"qg", "qgram3"}, {"num", "numeric_abs"}};
+  const std::vector<std::string> attributes = {"edit", "tok", "qg", "num"};
+  int cuts_in_pair = 0;
+  int cuts_in_self = 0;
+  int runs = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const std::size_t rows = rng.NextBounded(50);
+    const Relation relation = RandomBlockingRelation(rows, &rng);
+    // A random non-empty subset of the attributes, in schema order.
+    std::vector<std::string> subset;
+    while (subset.empty()) {
+      for (const std::string& name : attributes) {
+        if (rng.NextBool(0.6)) subset.push_back(name);
+      }
+    }
+    auto resolved = ResolveMatchingMetrics(relation.schema(), subset, matching);
+    ASSERT_TRUE(resolved.ok());
+    for (std::size_t max_bucket :
+         {std::size_t{0}, std::size_t{2}, std::size_t{64}}) {
+      for (std::uint64_t max_candidates :
+           {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{100},
+            approx::LshOptions{}.max_candidates}) {
+        approx::LshOptions lsh;
+        lsh.max_bucket = max_bucket;
+        lsh.max_candidates = max_candidates;
+        lsh.bands = 1 + rng.NextBounded(3);
+        lsh.band_rows = 1 + rng.NextBounded(2);
+        lsh.numeric_window = 1 + rng.NextBounded(4);
+        lsh.hash_seed = rng.NextUint64();
+        const std::string label = "seed " + std::to_string(seed) +
+                                  " rows " + std::to_string(rows) +
+                                  " max_bucket " + std::to_string(max_bucket) +
+                                  " max_candidates " +
+                                  std::to_string(max_candidates);
+        LshStats want_stats;
+        const std::vector<std::uint64_t> want = reference::CollectNearPairs(
+            relation, *resolved, lsh, &want_stats, &cuts_in_pair,
+            &cuts_in_self);
+        LshStats got_stats;
+        EXPECT_EQ(CollectNearPairs(relation, *resolved, lsh, &got_stats), want)
+            << label;
+        ExpectSameStats(got_stats, want_stats, label);
+        ++runs;
+      }
+    }
+  }
+  EXPECT_EQ(runs, 2400);
+  // The budget cut part way through both kinds of value pair.
+  EXPECT_GT(cuts_in_pair, 0);
+  EXPECT_GT(cuts_in_self, 0);
+}
+
+// Relation of one string column holding `values`, one per row.
+Relation SingleColumn(const std::vector<std::string>& values) {
+  Relation relation(Schema({Attribute{"v", AttributeType::kString}}));
+  for (const std::string& v : values) EXPECT_TRUE(relation.AddRow({v}).ok());
+  return relation;
+}
+
+std::vector<std::uint64_t> CollectSingleColumn(const Relation& relation,
+                                               const MatchingOptions& matching,
+                                               const approx::LshOptions& lsh,
+                                               LshStats* stats) {
+  auto resolved = ResolveMatchingMetrics(relation.schema(), {"v"}, matching);
+  EXPECT_TRUE(resolved.ok());
+  if (!resolved.ok()) return {};
+  return CollectNearPairs(relation, *resolved, lsh, stats);
+}
+
+TEST(LshIndexTest, NumericBlockingParsesLikeTheMetric) {
+  MatchingOptions matching;
+  matching.metric_overrides = {{"v", "numeric_abs"}};
+  LshStats stats;
+  const std::vector<std::uint64_t> bare = CollectSingleColumn(
+      SingleColumn({"10", "11", "12", "13", "x", "y", "z"}), matching, {},
+      &stats);
+  EXPECT_EQ(bare.size(), 6u);
+  // Padded values parse as the metric parses them; non-finite values
+  // (which strtod accepts) have no place in the sorted window.
+  const std::vector<std::uint64_t> padded = CollectSingleColumn(
+      SingleColumn({"10 ", " 11", "12\t", " 13 ", "nan", "inf", "-inf"}),
+      matching, {}, &stats);
+  EXPECT_EQ(padded, bare);
+}
+
+TEST(LshIndexTest, TinyEditScaleKeepsOneLengthBucket) {
+  const Relation relation = SingleColumn(
+      {"a", "ab", "abc", "abcd", "abcdefghij", "abcdefghik", "ab", "xyz"});
+  LshStats huge_stats;
+  LshStats tiny_stats;
+  MatchingOptions matching;
+  matching.scale_overrides = {{"v", 1e-12}};
+  const std::vector<std::uint64_t> huge =
+      CollectSingleColumn(relation, matching, {}, &huge_stats);
+  // dmax / 1e-320 is infinite: the bucket width must not be an
+  // out-of-range float-to-integer conversion.
+  matching.scale_overrides = {{"v", 1e-320}};
+  const std::vector<std::uint64_t> tiny =
+      CollectSingleColumn(relation, matching, {}, &tiny_stats);
+  EXPECT_FALSE(huge.empty());
+  EXPECT_EQ(tiny, huge);
+  ExpectSameStats(tiny_stats, huge_stats, "scale 1e-320");
+}
+
+TEST(LshIndexTest, HugeCandidateCapDoesNotWrap) {
+  CoraOptions options;
+  options.num_entities = 20;
+  const GeneratedData cora = GenerateCora(options);
+  MatchingOptions matching;
+  auto resolved = ResolveMatchingMetrics(cora.relation.schema(),
+                                         {"author", "title"}, matching);
+  ASSERT_TRUE(resolved.ok());
+  approx::LshOptions lsh;
+  lsh.max_candidates = std::uint64_t{1} << 40;
+  LshStats want_stats;
+  const std::vector<std::uint64_t> want =
+      CollectNearPairs(cora.relation, *resolved, lsh, &want_stats);
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(want_stats.dropped, 0u);
+  // At 2^63, max_candidates * 2 would wrap to 0 and drop every pair.
+  for (std::uint64_t cap : {std::uint64_t{1} << 63,
+                            std::numeric_limits<std::uint64_t>::max()}) {
+    lsh.max_candidates = cap;
+    LshStats got_stats;
+    EXPECT_EQ(CollectNearPairs(cora.relation, *resolved, lsh, &got_stats),
+              want);
+    ExpectSameStats(got_stats, want_stats,
+                    "max_candidates " + std::to_string(cap));
+  }
+}
+
 // ---------------------------------------------------------------------
 // Exact-mode gate on the classic builder
 
@@ -286,6 +695,37 @@ TEST(SampledBuilderTest, RejectsLegacyPairCap) {
   auto built = SampledMatchingBuilder::Build(
       hotel.relation, {"Address", "Region"}, options, ApproxOptions{});
   EXPECT_FALSE(built.ok());
+}
+
+TEST(SampledBuilderTest, ExportsLshStatsAsCounters) {
+  CoraOptions coptions;
+  coptions.num_entities = 40;
+  const GeneratedData cora = GenerateCora(coptions);
+  MatchingOptions matching;
+  matching.mode = MatchingMode::kApprox;
+  ApproxOptions approx;
+  approx.lsh.max_candidates = 500;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const char* const kNames[] = {
+      "approx.lsh_raw_pairs", "approx.lsh_candidate_pairs",
+      "approx.blocking_dropped", "approx.lsh_skipped_buckets"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : kNames) {
+    before.push_back(registry.GetCounter(name).value());
+  }
+  auto built = SampledMatchingBuilder::Build(
+      cora.relation, {"author", "title", "venue"}, matching, approx);
+  ASSERT_TRUE(built.ok());
+  const LshStats& stats = (*built)->lsh_stats();
+  const std::uint64_t expected[] = {stats.raw_pairs, stats.candidate_pairs,
+                                    stats.dropped, stats.skipped_buckets};
+  for (std::size_t i = 0; i < std::size(kNames); ++i) {
+    EXPECT_EQ(registry.GetCounter(kNames[i]).value() - before[i], expected[i])
+        << kNames[i];
+  }
+  EXPECT_GE(stats.raw_pairs, stats.candidate_pairs);
+  EXPECT_EQ((*built)->near_pairs(), 500u);
+  EXPECT_GT(stats.dropped, 0u);
 }
 
 // ---------------------------------------------------------------------
