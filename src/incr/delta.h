@@ -37,6 +37,10 @@ struct MatchingDelta {
   std::size_t num_removed() const { return removed_pairs.size(); }
   bool empty() const { return added_pairs.empty() && removed_pairs.empty(); }
 
+  // Metric evaluations made for the additions (equal values and table
+  // hits cost none; a table's precomputation counts in full).
+  std::uint64_t distances_computed = 0;
+
   // Distance vectors computed for this batch (deletions reuse stored
   // levels, so only additions cost metric evaluations).
   std::size_t pairs_computed() const { return added_pairs.size(); }

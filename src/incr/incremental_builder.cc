@@ -1,11 +1,11 @@
 #include "incr/incremental_builder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/string_util.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -35,6 +35,8 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
       obs::MetricsRegistry::Global().GetCounter("incr.batches");
   static obs::Counter& pairs_counter =
       obs::MetricsRegistry::Global().GetCounter("incr.pairs_recomputed");
+  static obs::Counter& distances_counter =
+      obs::MetricsRegistry::Global().GetCounter("incr.distances_computed");
   static obs::Counter& removed_counter =
       obs::MetricsRegistry::Global().GetCounter("incr.matching_rows_removed");
 
@@ -68,78 +70,69 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
   // that references a dead id out of M (capturing its levels so grid
   // consumers can subtract without re-deriving anything).
   if (!sorted_deletes.empty()) {
-    for (std::uint32_t id : sorted_deletes) {
-      Status erased = store_.Erase(id);
-      DD_CHECK(erased.ok());
-    }
-    const auto& pairs = matching_.pairs();
-    std::vector<std::uint32_t> removed_rows;
-    for (std::size_t row = 0; row < pairs.size(); ++row) {
-      if (!store_.IsLive(pairs[row].first) ||
-          !store_.IsLive(pairs[row].second)) {
-        removed_rows.push_back(static_cast<std::uint32_t>(row));
-      }
-    }
-    delta.removed_pairs.reserve(removed_rows.size());
-    delta.removed_levels.reserve(removed_rows.size() * attrs);
-    for (std::uint32_t row : removed_rows) {
-      delta.removed_pairs.push_back(pairs[row]);
-      for (std::size_t a = 0; a < attrs; ++a) {
-        delta.removed_levels.push_back(matching_.level(row, a));
-      }
-    }
-    matching_.RemoveRows(removed_rows);
+    for (std::uint32_t id : sorted_deletes) DD_CHECK(store_.Erase(id).ok());
+    matching_.RemoveDeadPairs(store_.live(), &delta.removed_pairs,
+                              &delta.removed_levels);
+    std::erase_if(window_,
+                  [this](std::uint32_t id) { return !store_.IsLive(id); });
   }
 
-  // Inserts: new ids are larger than every existing id, so each new
-  // tuple j pairs with all live i < j — the surviving old tuples plus
-  // the batch's earlier inserts.
-  const std::vector<std::uint32_t> old_live = store_.LiveIds();
-  std::vector<std::uint32_t> new_ids;
-  new_ids.reserve(inserts.size());
+  // Inserts: new ids are larger than every existing id, so the window
+  // stays ascending and the new tuple at position `row` pairs with all
+  // positions before it — one Row call per kMaxRun of them.
+  const std::uint64_t old = window_.size();
   for (const auto& values : inserts) {
     Result<std::uint32_t> id = store_.Insert(values);
     DD_CHECK(id.ok());  // Arity was validated above.
-    new_ids.push_back(*id);
+    window_.push_back(*id);
   }
-
   // Pair counts are 64-bit BY CONTRACT (matching/builder.h): b(b-1)/2
   // overflows 32-bit size types near b ≈ 93k.
-  const std::uint64_t b = new_ids.size();
-  const std::uint64_t total_new =
-      static_cast<std::uint64_t>(old_live.size()) * b + b * (b - 1) / 2;
-  delta.added_pairs.reserve(total_new);
-  for (std::uint64_t k = 0; k < b; ++k) {
-    const std::uint32_t j = new_ids[k];
-    for (std::uint32_t i : old_live) delta.added_pairs.emplace_back(i, j);
-    for (std::size_t e = 0; e < k; ++e) {
-      delta.added_pairs.emplace_back(new_ids[e], j);
-    }
-  }
-  DD_CHECK_EQ(delta.added_pairs.size(), total_new);
-
+  const std::uint64_t b = inserts.size();
+  const auto start = [old](std::uint64_t k) {  // first delta pair of insert k
+    return old * k + k * (k - 1) / 2;
+  };
+  const std::uint64_t total_new = start(b);
+  delta.added_pairs.resize(total_new);
   delta.added_levels.resize(total_new * attrs);
-  ParallelFor("incr.delta_levels", total_new, options_.threads,
-              [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-                for (std::size_t p = begin; p < end; ++p) {
-                  resolved_.ComputeLevels(store_.relation(),
-                                          delta.added_pairs[p].first,
-                                          delta.added_pairs[p].second,
-                                          &delta.added_levels[p * attrs]);
-                }
-              });
-
-  matching_.Reserve(matching_.num_tuples() + total_new);
-  std::vector<Level> levels(attrs);
-  for (std::size_t p = 0; p < total_new; ++p) {
-    const Level* row = delta.added_row(p);
-    levels.assign(row, row + attrs);
-    matching_.AddTuple(delta.added_pairs[p].first, delta.added_pairs[p].second,
-                       levels);
+  if (total_new > 0) {
+    const PairLevelSource source(store_.relation(), resolved_,
+                                 options_.matching, total_new,
+                                 options_.threads, &window_);
+    std::atomic<std::uint64_t> metric_calls{source.precomputed_distances()};
+    const std::size_t m0 = matching_.num_tuples();
+    matching_.ResizeRows(m0 + total_new);
+    ParallelForTuples(
+        "incr.delta_levels", m0, m0 + total_new, options_.threads,
+        [&](std::size_t begin, std::size_t end) {
+          std::uint32_t js[PairLevelSource::kMaxRun];
+          std::uint64_t calls = 0;
+          std::uint64_t k = 0;  // the insert owning delta pair p
+          for (std::uint64_t p = begin - m0; p < end - m0;) {
+            while (start(k + 1) <= p) ++k;
+            const std::uint64_t row = old + k;
+            const std::size_t count = std::min<std::uint64_t>(
+                {PairLevelSource::kMaxRun, start(k + 1) - p, end - m0 - p});
+            for (std::size_t r = 0; r < count; ++r) {
+              js[r] = static_cast<std::uint32_t>(p - start(k) + r);
+            }
+            Level* levels = &delta.added_levels[p * attrs];
+            source.Row(static_cast<std::uint32_t>(row), js, count, levels,
+                       &calls);
+            for (std::size_t r = 0; r < count; ++r, ++p) {
+              delta.added_pairs[p] = {window_[js[r]], window_[row]};
+              matching_.SetTuple(m0 + p, window_[js[r]], window_[row],
+                                 levels + r * attrs);
+            }
+          }
+          metric_calls.fetch_add(calls, std::memory_order_relaxed);
+        });
+    delta.distances_computed = metric_calls.load(std::memory_order_relaxed);
   }
 
   batches_counter.Increment();
   pairs_counter.Add(total_new);
+  distances_counter.Add(delta.distances_computed);
   removed_counter.Add(delta.num_removed());
   DD_VLOG(1) << "incr batch: +" << b << " tuples / -" << sorted_deletes.size()
              << " tuples, " << total_new << " pairs computed, "
@@ -150,18 +143,17 @@ Result<MatchingDelta> IncrementalMatchingBuilder::ApplyBatch(
 
 MatchingRelation IncrementalMatchingBuilder::Rebuild() const {
   obs::TraceSpan span("incr/rebuild");
-  const std::vector<std::uint32_t> live = store_.LiveIds();
-  const std::uint64_t n = live.size();
+  const std::uint64_t n = window_.size();
+  const std::uint64_t total = n * (n - 1) / 2;  // 64-bit (matching/builder.h)
+  const PairLevelSource source(store_.relation(), resolved_,
+                               options_.matching, total, options_.threads,
+                               &window_);
   MatchingRelation out(attributes_, options_.matching.dmax);
-  out.Reserve(n * (n - 1) / 2);  // 64-bit pair count (matching/builder.h)
-  std::vector<Level> levels(attributes_.size());
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) {
-      resolved_.ComputeLevels(store_.relation(), live[a], live[b],
-                              levels.data());
-      out.AddTuple(live[a], live[b], levels);
-    }
-  }
+  out.ResizeRows(total);
+  FillPairRows(
+      source, n, "incr.rebuild", 0, total,
+      [](std::size_t row) { return std::uint64_t{row}; }, options_.threads,
+      &out, window_.data());
   return out;
 }
 

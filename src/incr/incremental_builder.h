@@ -2,15 +2,16 @@
 // deletes. The paper builds M once over a static instance; under live
 // traffic a batch of b changes against N live tuples only affects the
 // pairs touching changed tuples, so ApplyBatch computes the N·b + C(b,2)
-// new distance vectors (reusing src/metric via ResolvedMetrics, spread
-// over ParallelFor workers) and compacts deleted pairs out of M in one
-// pass — instead of the O(N²) from-scratch rebuild.
+// new distance vectors on the shared matching layer (one PairLevelSource
+// over the live window, one Row call per new tuple and kMaxRun partners)
+// and compacts deleted pairs out of M in whole-byte passes — instead of
+// the O(N²) from-scratch rebuild.
 //
 // Complexity per batch of b inserts and k deletes over N live tuples
 // with a matching relation of M tuples:
-//   distance work   O((N + b) · b)       — the only metric evaluations
-//   delete compact  O(M)  (k > 0 only)   — one branch-per-row pass
-// versus O((N+b-k)²/2) distance evaluations for a rebuild.
+//   distance work   O((N + b) · b) pairs, minus equal values and table hits
+//   delete compact  O(M)  (k > 0 only)   — sequential byte passes
+// versus O((N+b-k)²/2) pairs for a rebuild.
 
 #ifndef DD_INCR_INCREMENTAL_BUILDER_H_
 #define DD_INCR_INCREMENTAL_BUILDER_H_
@@ -60,10 +61,10 @@ class IncrementalMatchingBuilder {
   const std::vector<std::string>& attributes() const { return attributes_; }
   int dmax() const { return options_.matching.dmax; }
 
-  // Reference implementation: the matching relation of the current live
-  // instance built from scratch in ascending pair order. The property
-  // tests assert that matching() (canonicalized via SortByPairs) equals
-  // this exactly; the benchmarks use it as the rebuild baseline.
+  // The matching relation of the current live instance built from
+  // scratch in ascending pair order (FillPairRows over the live rows).
+  // The property tests assert that matching() (canonicalized via
+  // SortByPairs) equals this exactly; benchmarks use it as a baseline.
   MatchingRelation Rebuild() const;
 
  private:
@@ -82,6 +83,7 @@ class IncrementalMatchingBuilder {
   IncrementalOptions options_;
   ResolvedMetrics resolved_;
   MatchingRelation matching_;
+  std::vector<std::uint32_t> window_;  // store_.LiveIds(), O(live) upkeep
 };
 
 }  // namespace dd

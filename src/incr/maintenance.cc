@@ -75,6 +75,7 @@ Result<BatchOutcome> MaintenanceEngine::ApplyBatch(
   BatchOutcome outcome;
   outcome.batch_seq = ++batch_seq_;
   outcome.pairs_computed = delta.pairs_computed();
+  outcome.distances_computed = delta.distances_computed;
   outcome.matching_added = delta.num_added();
   outcome.matching_removed = delta.num_removed();
   batch_gauge.Set(static_cast<double>(outcome.batch_seq));

@@ -69,6 +69,7 @@ struct ThresholdUpdate {
 struct BatchOutcome {
   std::uint64_t batch_seq = 0;
   std::size_t pairs_computed = 0;
+  std::uint64_t distances_computed = 0;  // MatchingDelta::distances_computed
   std::size_t matching_added = 0;
   std::size_t matching_removed = 0;
   double drift = 0.0;

@@ -7,8 +7,14 @@ namespace dd {
 Result<std::uint32_t> TupleStore::Insert(std::vector<std::string> values) {
   const std::uint32_t id = next_id();
   DD_RETURN_IF_ERROR(relation_.AddRow(std::move(values)));
-  live_.push_back(true);
+  live_.push_back(1);
   ++num_live_;
+  const std::vector<std::string>& stored = relation_.row(id);
+  row_bytes_ += stored.capacity() * sizeof(std::string);
+  for (const std::string& value : stored) {
+    // Small strings live inline in the string object counted above.
+    if (value.capacity() > sizeof(std::string)) row_bytes_ += value.capacity();
+  }
   return id;
 }
 
@@ -19,7 +25,7 @@ Status TupleStore::Erase(std::uint32_t id) {
   if (!live_[id]) {
     return Status::InvalidArgument(StrFormat("tuple %u already deleted", id));
   }
-  live_[id] = false;
+  live_[id] = 0;
   --num_live_;
   return Status::Ok();
 }

@@ -40,6 +40,9 @@ class TupleStore {
     return id < live_.size() && live_[id];
   }
 
+  // One byte per id ever inserted, nonzero while the tuple is live.
+  const std::vector<std::uint8_t>& live() const { return live_; }
+
   // Values of tuple `id` (live or dead).
   const std::vector<std::string>& row(std::uint32_t id) const {
     return relation_.row(id);
@@ -48,31 +51,21 @@ class TupleStore {
   // Ascending ids of the live tuples. O(next_id).
   std::vector<std::uint32_t> LiveIds() const;
 
-  // The underlying storage, dead rows included; row index == id. This
-  // is what metric evaluation reads (ResolvedMetrics::ComputeLevels).
+  // The underlying storage, dead rows included; row index == id. Metric
+  // evaluation reads it through a PairLevelSource over the live rows.
   const Relation& relation() const { return relation_; }
 
   // Approximate heap bytes of the stored tuples (string capacities plus
-  // per-row vector overhead) and the live bitmap. An O(rows × attrs)
-  // walk — call after batch boundaries, not per tuple. Feeds the
+  // per-row vector overhead) and the live map. Stored rows never
+  // change, so Insert keeps a running total and this is O(1). Feeds the
   // mem.tuple_store_bytes gauge (obs/resource.h).
-  std::size_t MemoryUsageBytes() const {
-    std::size_t bytes = live_.capacity() / 8;
-    for (std::uint32_t id = 0; id < next_id(); ++id) {
-      const std::vector<std::string>& values = relation_.row(id);
-      bytes += values.capacity() * sizeof(std::string);
-      for (const std::string& value : values) {
-        // Small strings live inline in the string object counted above.
-        if (value.capacity() > sizeof(std::string)) bytes += value.capacity();
-      }
-    }
-    return bytes;
-  }
+  std::size_t MemoryUsageBytes() const { return live_.capacity() + row_bytes_; }
 
  private:
   Relation relation_;
-  std::vector<bool> live_;
+  std::vector<std::uint8_t> live_;
   std::size_t num_live_ = 0;
+  std::size_t row_bytes_ = 0;  // heap bytes of every stored row
 };
 
 }  // namespace dd

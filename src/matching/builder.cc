@@ -21,13 +21,14 @@ PairLevelSource::PairLevelSource(const Relation& relation,
                                  const ResolvedMetrics& resolved,
                                  const MatchingOptions& options,
                                  std::uint64_t pairs_to_compute,
-                                 std::size_t threads)
-    : relation_(relation), resolved_(resolved) {
+                                 std::size_t threads,
+                                 const std::vector<std::uint32_t>* rows)
+    : relation_(relation), resolved_(resolved), rows_(rows) {
   if (!options.value_cache) return;
   attrs_.resize(resolved.num_attributes());
   for (std::size_t a = 0; a < attrs_.size(); ++a) {
     AttrLevelSource& attr = attrs_[a];
-    attr.index = InternColumn(relation, resolved.attr_idx[a]);
+    attr.index = InternColumn(relation, resolved.attr_idx[a], rows);
     attr.table = ValuePairLevelTable::Build(
         attr.index, *resolved.metrics[a], resolved.scales[a], resolved.dmax,
         pairs_to_compute, options.value_cache_max_cells, threads);
@@ -49,7 +50,8 @@ void PairLevelSource::Row(std::uint32_t i, const std::uint32_t* js,
     Level* column = levels + a;  // column[k * num_attrs] is pair k's level
     if (attrs_.empty()) {
       for (std::size_t k = 0; k < count; ++k) {
-        column[k * num_attrs] = resolved_.ComputeLevel(relation_, i, js[k], a);
+        column[k * num_attrs] = resolved_.ComputeLevel(
+            relation_, RelationRow(i), RelationRow(js[k]), a);
       }
       *metric_calls += count;
       continue;

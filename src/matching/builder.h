@@ -139,8 +139,10 @@ struct AttrLevelSource {
 
 // Levels of data-tuple pairs through the value cache, one row at a
 // time — the kernel shared by the one-shot build below, the streaming
-// exact grid build, and the sampled builder (src/approx). Holds
-// references to `relation` and `resolved`; both must outlive it.
+// exact grid build, the sampled builder (src/approx) and incremental
+// maintenance (src/incr). Holds references to `relation`, `resolved`
+// and `rows`; all must outlive it, and no row may be added to
+// `relation` meanwhile.
 class PairLevelSource {
  public:
   // Longest run ForEachPairRun passes to one callback.
@@ -151,9 +153,13 @@ class PairLevelSource {
   // distinct-pair table is worth precomputing (matching/value_cache.h).
   // Attributes without a table get their metric's one-to-many rows
   // (DistanceMetric::OneToMany) over the interned values instead.
+  // With `rows` set, the source covers only those rows of `relation`
+  // (interning costs O(|rows|)) and every row index Row() takes is a
+  // position in *rows.
   PairLevelSource(const Relation& relation, const ResolvedMetrics& resolved,
                   const MatchingOptions& options,
-                  std::uint64_t pairs_to_compute, std::size_t threads);
+                  std::uint64_t pairs_to_compute, std::size_t threads,
+                  const std::vector<std::uint32_t>* rows = nullptr);
 
   // Levels of the pairs (i, js[k]) for k in [0, count), pair-major:
   // levels[k * num_attributes() + a]. Per attribute: a table lookup,
@@ -180,8 +186,14 @@ class PairLevelSource {
   std::size_t cache_bytes() const;
 
  private:
+  // Relation row of row index r (a position in the covered rows).
+  std::uint32_t RelationRow(std::uint32_t r) const {
+    return rows_ != nullptr ? (*rows_)[r] : r;
+  }
+
   const Relation& relation_;
   const ResolvedMetrics& resolved_;
+  const std::vector<std::uint32_t>* rows_;
   std::vector<AttrLevelSource> attrs_;
   std::uint64_t precomputed_distances_ = 0;
 };
@@ -235,13 +247,15 @@ void ForEachPairRun(std::uint64_t n, std::size_t begin, std::size_t end,
 // Fills rows [first, last) of `out` (already sized) with the levels of
 // the pairs at ascending triangular indices index(first..last) over n
 // rows, on `threads` workers. Chunks come from ParallelForTuples, so
-// the result is bit-identical at any thread count. Returns the number
-// of metric evaluations performed.
+// the result is bit-identical at any thread count. With `ids` set, the
+// pair (i, j) is stored as (ids[i], ids[j]). Returns the number of
+// metric evaluations performed.
 template <typename Index>
 std::uint64_t FillPairRows(const PairLevelSource& source, std::uint64_t n,
                            const char* phase, std::size_t first,
                            std::size_t last, const Index& index,
-                           std::size_t threads, MatchingRelation* out) {
+                           std::size_t threads, MatchingRelation* out,
+                           const std::uint32_t* ids = nullptr) {
   const std::size_t num_attrs = out->num_attributes();
   std::atomic<std::uint64_t> metric_calls{0};
   ParallelForTuples(
@@ -253,7 +267,8 @@ std::uint64_t FillPairRows(const PairLevelSource& source, std::uint64_t n,
                            const std::uint32_t* js, std::size_t count) {
                          source.Row(i, js, count, levels.data(), &calls);
                          for (std::size_t p = 0; p < count; ++p) {
-                           out->SetTuple(row + p, i, js[p],
+                           out->SetTuple(row + p, ids ? ids[i] : i,
+                                         ids ? ids[js[p]] : js[p],
                                          &levels[p * num_attrs]);
                          }
                        });

@@ -1,6 +1,7 @@
 #include "matching/matching_relation.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -66,26 +67,43 @@ std::vector<Level> MatchingRelation::RowLevels(std::size_t row) const {
   return levels;
 }
 
-void MatchingRelation::RemoveRows(const std::vector<std::uint32_t>& rows) {
+void MatchingRelation::RemoveRows(const std::vector<std::uint32_t>& rows,
+                                  Level* removed_levels) {
   if (rows.empty()) return;
-  const std::size_t m = pairs_.size();
-  std::size_t write = 0;
-  std::size_t next = 0;  // next index into `rows` to skip
-  for (std::size_t read = 0; read < m; ++read) {
-    if (next < rows.size() && rows[next] == read) {
-      DD_CHECK(next + 1 == rows.size() || rows[next + 1] > rows[next]);
-      ++next;
-      continue;
-    }
-    if (write != read) {
-      pairs_[write] = pairs_[read];
-      for (auto& col : columns_) col.Set(write, col.Get(read));
-    }
-    ++write;
+  for (std::size_t k = 1; k < rows.size(); ++k) {
+    DD_CHECK_LT(rows[k - 1], rows[k]);
   }
-  DD_CHECK_EQ(next, rows.size());
-  pairs_.resize(write);
-  for (auto& col : columns_) col.Resize(write);
+  DD_CHECK_LT(rows.back(), pairs_.size());
+  auto* pairs = pairs_.data();
+  pairs_.resize(CompactRuns(
+      pairs_.size(), rows,
+      [pairs](std::size_t dst, std::size_t from, std::size_t count) {
+        // std::pair's assignment is user-provided, so it is not
+        // trivially copyable, but two uint32_t move as raw bytes.
+        std::memmove(static_cast<void*>(pairs + dst), pairs + from,
+                     count * sizeof(*pairs));
+      }));
+  const std::size_t attrs = columns_.size();
+  for (std::size_t a = 0; a < attrs; ++a) {
+    columns_[a].RemoveRows(
+        rows, removed_levels != nullptr ? removed_levels + a : nullptr, attrs);
+  }
+}
+
+void MatchingRelation::RemoveDeadPairs(
+    const std::vector<std::uint8_t>& live,
+    std::vector<std::pair<std::uint32_t, std::uint32_t>>* removed_pairs,
+    std::vector<Level>* removed_levels) {
+  std::vector<std::uint32_t> rows;
+  for (std::size_t row = 0; row < pairs_.size(); ++row) {
+    const auto [i, j] = pairs_[row];
+    if ((live[i] & live[j]) != 0) continue;
+    removed_pairs->emplace_back(i, j);
+    rows.push_back(static_cast<std::uint32_t>(row));
+  }
+  const std::size_t first = removed_levels->size();
+  removed_levels->resize(first + rows.size() * columns_.size());
+  RemoveRows(rows, removed_levels->data() + first);
 }
 
 void MatchingRelation::SortByPairs() {

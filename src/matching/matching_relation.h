@@ -77,9 +77,21 @@ class MatchingRelation {
   std::vector<Level> RowLevels(std::size_t row) const;
 
   // Removes the matching tuples at `rows` (ascending, unique indices),
-  // preserving the relative order of the survivors. One O(M) compaction
-  // pass over every column — the incremental-maintenance delete path.
-  void RemoveRows(const std::vector<std::uint32_t>& rows);
+  // preserving the relative order of the survivors: one memmove per
+  // surviving run of pairs, then PackedColumn::RemoveRows per column.
+  // With `removed_levels` set, the removed tuples' levels are written
+  // there row-major (rows.size() x num_attributes()).
+  void RemoveRows(const std::vector<std::uint32_t>& rows,
+                  Level* removed_levels = nullptr);
+
+  // Removes every matching tuple whose pair references an id x with
+  // live[x] == 0 (`live` covers every id in M), and appends the removed
+  // pairs and their levels (row-major) to the outputs — the
+  // incremental-maintenance delete path.
+  void RemoveDeadPairs(
+      const std::vector<std::uint8_t>& live,
+      std::vector<std::pair<std::uint32_t, std::uint32_t>>* removed_pairs,
+      std::vector<Level>* removed_levels);
 
   // Reorders matching tuples into ascending (i, j) pair order — the
   // order a from-scratch full-enumeration build produces. Counting is

@@ -112,6 +112,50 @@ void PackedColumn::Reserve(std::size_t rows) {
   EnsureCapacity(packed4_ ? (rows + 1) / 2 : rows);
 }
 
+void PackedColumn::RemoveRows(const std::vector<std::uint32_t>& rows,
+                              Level* removed, std::size_t stride) {
+  if (rows.empty()) return;
+  DD_CHECK_LT(rows.back(), size_);
+  if (removed != nullptr) {
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      removed[k * stride] = Get(rows[k]);
+    }
+  }
+  const std::size_t old_bytes = packed_bytes();
+  if (!packed4_) {
+    size_ = CompactRuns(size_, rows, [this](std::size_t dst, std::size_t from,
+                                            std::size_t count) {
+      std::memmove(data_ + dst, data_ + from, count);
+    });
+  } else {
+    size_ = CompactRuns(size_, rows, [this](std::size_t dst, std::size_t from,
+                                            std::size_t count) {
+      if (dst & 1) {  // odd start: one nibble, then dst is byte-aligned
+        Set(dst++, Get(from++));
+        --count;
+      }
+      std::uint8_t* out = data_ + dst / 2;
+      const std::uint8_t* in = data_ + from / 2;
+      const std::size_t bytes = count / 2;
+      if ((from & 1) == 0) {
+        std::memmove(out, in, bytes);
+      } else {
+        // Row `from` is the high nibble of in[0]. out <= in, so the
+        // forward copy reads every byte before it is overwritten.
+        for (std::size_t q = 0; q < bytes; ++q) {
+          out[q] = static_cast<std::uint8_t>((in[q] >> 4) | (in[q + 1] << 4));
+        }
+      }
+      if (count & 1) Set(dst + 2 * bytes, Get(from + 2 * bytes));
+    });
+    // A now-odd final byte keeps a stale high nibble.
+    if (size_ & 1) data_[size_ / 2] &= 0x0F;
+  }
+  // Restore the zero fill over the bytes the removed levels vacated.
+  const std::size_t new_bytes = packed_bytes();
+  std::memset(data_ + new_bytes, 0, old_bytes - new_bytes);
+}
+
 std::vector<Level> PackedColumn::Unpack() const {
   std::vector<Level> out(size_);
   for (std::size_t row = 0; row < size_; ++row) out[row] = Get(row);
@@ -121,8 +165,10 @@ std::vector<Level> PackedColumn::Unpack() const {
 bool PackedColumn::operator==(const PackedColumn& other) const {
   if (size_ != other.size_) return false;
   if (packed4_ == other.packed4_) {
-    // Zero-filled padding makes whole-byte comparison exact.
-    return std::memcmp(data_, other.data_, packed_bytes()) == 0;
+    // Zero-filled padding makes whole-byte comparison exact. An empty
+    // column may have no slab at all.
+    return size_ == 0 ||
+           std::memcmp(data_, other.data_, packed_bytes()) == 0;
   }
   for (std::size_t row = 0; row < size_; ++row) {
     if (Get(row) != other.Get(row)) return false;

@@ -81,6 +81,15 @@ class PackedColumn {
   void Resize(std::size_t rows);
   void Reserve(std::size_t rows);
 
+  // Removes the levels at `rows` (ascending, unique, each < size()),
+  // keeping the survivors in order, in whole-byte moves: one memmove
+  // per surviving run for 8-bit columns, and for 4-bit columns too when
+  // a run keeps its nibble parity; a run that changes parity is one
+  // byte-wise shifted copy. With `removed` set, removed[k * stride]
+  // receives the level of rows[k]. Keeps the zero-filled tail.
+  void RemoveRows(const std::vector<std::uint32_t>& rows,
+                  Level* removed = nullptr, std::size_t stride = 1);
+
   // Raw packed words for the SIMD kernels. 64-byte aligned.
   const std::uint8_t* data() const { return data_; }
   // Bytes holding live levels: ceil(size/2) packed, size unpacked.
@@ -109,6 +118,25 @@ class PackedColumn {
   std::size_t cap_bytes_ = 0;
   bool packed4_ = false;
 };
+
+// Walks the runs of indices in [0, size) that survive dropping the
+// ascending, unique indices `rows`, left to right, calling
+// move(dst, from, count) to move run [from, from + count) down to dst
+// (dst < from; indices before rows[0] stay put). Returns the new size.
+template <typename Move>
+std::size_t CompactRuns(std::size_t size,
+                        const std::vector<std::uint32_t>& rows,
+                        const Move& move) {
+  if (rows.empty()) return size;
+  std::size_t write = rows[0];
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const std::size_t from = rows[k] + std::size_t{1};
+    const std::size_t to = k + 1 < rows.size() ? rows[k + 1] : size;
+    if (to > from) move(write, from, to - from);
+    write += to - from;
+  }
+  return write;
+}
 
 // GTest failure-message support.
 void PrintTo(const PackedColumn& column, std::ostream* os);

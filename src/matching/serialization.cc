@@ -36,6 +36,9 @@ class Reader {
     if (bytes_.size() - pos_ < n) {
       return Status::InvalidArgument("truncated matching-relation data");
     }
+    // An empty read may come with null pointers (an empty vector's
+    // data()), which memcpy does not accept even for zero bytes.
+    if (n == 0) return Status::Ok();
     std::memcpy(out, bytes_.data() + pos_, n);
     pos_ += n;
     return Status::Ok();
@@ -91,6 +94,7 @@ std::string SerializeMatchingRelation(const MatchingRelation& matching) {
     // packing, so the v2 format (and its checksums) are unchanged by
     // the bit-packed store.
     const std::vector<Level> column = matching.column(a).Unpack();
+    if (column.empty()) continue;  // data() may be null
     body.append(reinterpret_cast<const char*>(column.data()), column.size());
   }
 

@@ -9,14 +9,16 @@
 namespace dd {
 
 AttributeValueIndex InternColumn(const Relation& relation,
-                                 std::size_t attr_idx) {
+                                 std::size_t attr_idx,
+                                 const std::vector<std::uint32_t>* rows) {
   AttributeValueIndex index;
-  const std::size_t n = relation.num_rows();
+  const std::size_t n = rows != nullptr ? rows->size() : relation.num_rows();
   index.row_ids.resize(n);
   std::unordered_map<std::string_view, std::uint32_t> ids;
   ids.reserve(n);
   for (std::size_t r = 0; r < n; ++r) {
-    const std::string& value = relation.at(r, attr_idx);
+    const std::string& value =
+        relation.at(rows != nullptr ? (*rows)[r] : r, attr_idx);
     const auto [it, inserted] = ids.emplace(
         std::string_view(value), static_cast<std::uint32_t>(index.values.size()));
     if (inserted) index.values.push_back(&value);

@@ -35,7 +35,7 @@ namespace dd {
 
 // Distinct-value interning for one attribute column: row_ids[row] is
 // the id of the row's value; values[id] points at a representative
-// occurrence inside the relation (stable for the relation's lifetime).
+// occurrence inside the relation (stable while no row is added).
 struct AttributeValueIndex {
   std::vector<std::uint32_t> row_ids;
   std::vector<const std::string*> values;
@@ -43,10 +43,13 @@ struct AttributeValueIndex {
   std::size_t distinct() const { return values.size(); }
 };
 
-// Interns column `attr_idx` of `relation`. Ids are assigned in first-
-// occurrence order (deterministic).
+// Interns column `attr_idx` of `relation`, or of the rows *rows only
+// (then row_ids[p] is the id of row (*rows)[p]'s value). Ids are
+// assigned in first-occurrence order (deterministic).
 AttributeValueIndex InternColumn(const Relation& relation,
-                                 std::size_t attr_idx);
+                                 std::size_t attr_idx,
+                                 const std::vector<std::uint32_t>* rows =
+                                     nullptr);
 
 // Precomputed bucketed levels for every unordered pair of distinct
 // values of one attribute. Strictly-upper-triangular storage; equal ids

@@ -7,8 +7,11 @@
 // Cora generator and the paper's Hotel example) give 50 sequences per
 // run, each with 5 mixed batches.
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include "incr/incremental_builder.h"
 #include "incr/maintenance.h"
 #include "incr/tuple_store.h"
+#include "matching/builder.h"
 #include "tests/test_util.h"
 
 namespace dd {
@@ -150,6 +154,234 @@ TEST(IncrementalPropertyTest, HotelSequencesMatchRebuild) {
   for (std::uint64_t seed = 100; seed < 125; ++seed) {
     SCOPED_TRACE(::testing::Message() << "sequence seed " << seed);
     RunSequence(hotel.relation, rule, /*dmax=*/8, seed);
+  }
+}
+
+// The levels every matching tuple of `m` touching a `deletes` id holds,
+// by pair.
+std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<Level>>
+LevelsTouching(const MatchingRelation& m,
+               const std::vector<std::uint32_t>& deletes) {
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<Level>> out;
+  for (std::size_t r = 0; r < m.num_tuples(); ++r) {
+    const auto [i, j] = m.pair(r);
+    if (std::find(deletes.begin(), deletes.end(), i) != deletes.end() ||
+        std::find(deletes.begin(), deletes.end(), j) != deletes.end()) {
+      out[m.pair(r)] = m.RowLevels(r);
+    }
+  }
+  return out;
+}
+
+// Applies one batch and checks every delta row against the oracles: the
+// added pairs are each new tuple with every live tuple before it, in
+// order, and each added row equals ResolvedMetrics::ComputeLevels on
+// its pair; a removed row equals the levels its pair held in M before
+// the batch.
+void ApplyAndCheckDelta(IncrementalMatchingBuilder* builder,
+                        const ResolvedMetrics& resolved, bool value_cache,
+                        const BatchPlan& plan,
+                        std::uint64_t* distances = nullptr) {
+  const auto before = LevelsTouching(builder->matching(), plan.deletes);
+  const std::vector<std::uint32_t> old_live = builder->store().LiveIds();
+  auto delta = builder->ApplyBatch(plan.inserts, plan.deletes);
+  ASSERT_TRUE(delta.ok()) << delta.status();
+  const std::size_t attrs = resolved.num_attributes();
+  ASSERT_EQ(delta->num_attributes, attrs);
+
+  ASSERT_EQ(delta->num_removed(), before.size());
+  ASSERT_EQ(delta->removed_levels.size(), before.size() * attrs);
+  for (std::size_t k = 0; k < delta->num_removed(); ++k) {
+    const auto it = before.find(delta->removed_pairs[k]);
+    ASSERT_NE(it, before.end());
+    ASSERT_EQ(std::vector<Level>(delta->removed_row(k),
+                                 delta->removed_row(k) + attrs),
+              it->second)
+        << "removed pair " << k;
+  }
+
+  // Added pairs: each new id, in id order, with every live id below it
+  // in ascending order.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> want_pairs;
+  std::vector<std::uint32_t> window;
+  for (std::uint32_t id : old_live) {
+    if (std::find(plan.deletes.begin(), plan.deletes.end(), id) ==
+        plan.deletes.end()) {
+      window.push_back(id);
+    }
+  }
+  for (std::uint32_t j = builder->store().next_id() - plan.inserts.size();
+       j < builder->store().next_id(); window.push_back(j++)) {
+    for (std::uint32_t i : window) want_pairs.emplace_back(i, j);
+  }
+  ASSERT_EQ(delta->added_pairs, want_pairs);
+  ASSERT_EQ(delta->added_levels.size(), delta->num_added() * attrs);
+  std::vector<Level> want(attrs);
+  for (std::size_t k = 0; k < delta->num_added(); ++k) {
+    const auto [i, j] = delta->added_pairs[k];
+    resolved.ComputeLevels(builder->store().relation(), i, j, want.data());
+    ASSERT_EQ(std::vector<Level>(delta->added_row(k),
+                                 delta->added_row(k) + attrs),
+              want)
+        << "added pair (" << i << "," << j << ")";
+  }
+  // Without the cache every level is one metric call; with it, equal
+  // values and table hits are free and a table costs at most one call
+  // per cell, which is fewer cells than pairs.
+  if (value_cache) {
+    EXPECT_LE(delta->distances_computed, delta->num_added() * attrs);
+  } else {
+    EXPECT_EQ(delta->distances_computed, delta->num_added() * attrs);
+  }
+  if (distances != nullptr) *distances = delta->distances_computed;
+}
+
+// Randomized batches of up to `max_inserts` pool rows and 3 deletes.
+void CheckDeltaOracle(const Relation& pool,
+                      const std::vector<std::string>& attributes,
+                      const MatchingOptions& matching, std::size_t threads,
+                      std::uint64_t seed) {
+  IncrementalOptions options;
+  options.matching = matching;
+  options.threads = threads;
+  auto builder = IncrementalMatchingBuilder::Create(pool.schema(), attributes,
+                                                    options);
+  ASSERT_TRUE(builder.ok()) << builder.status();
+  auto resolved =
+      ResolveMatchingMetrics(pool.schema(), attributes, options.matching);
+  ASSERT_TRUE(resolved.ok()) << resolved.status();
+  Rng rng(seed);
+  for (int batch = 0; batch < 6; ++batch) {
+    SCOPED_TRACE(::testing::Message() << "batch " << batch);
+    BatchPlan plan;
+    const std::size_t n_inserts = rng.NextBounded(batch == 0 ? 40 : 16);
+    for (std::size_t k = 0; k < n_inserts; ++k) {
+      plan.inserts.push_back(pool.row(rng.NextBounded(pool.num_rows())));
+    }
+    std::vector<std::uint32_t> live = builder->store().LiveIds();
+    for (std::size_t k = rng.NextBounded(4); k > 0 && !live.empty(); --k) {
+      const std::size_t idx = rng.NextBounded(live.size());
+      plan.deletes.push_back(live[idx]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+    }
+    ApplyAndCheckDelta(&*builder, *resolved, matching.value_cache, plan);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(IncrementalDeltaTest, LevelsMatchDirectComputation) {
+  struct Case {
+    const char* name;
+    GeneratedData data;
+    std::vector<std::string> attributes;
+    int dmax;
+  };
+  RestaurantOptions restaurant;
+  restaurant.num_entities = 20;
+  CoraOptions cora;
+  cora.num_entities = 15;
+  std::vector<Case> cases;
+  cases.push_back({"restaurant", GenerateRestaurant(restaurant),
+                   {"name", "address", "city", "type"}, 10});
+  cases.push_back({"cora", GenerateCora(cora),
+                   {"author", "title", "venue", "year"}, 10});
+  // dmax 20 stores 8-bit level columns.
+  cases.push_back(
+      {"hotel", HotelExample(), {"Name", "Address", "Region"}, 20});
+  for (const Case& c : cases) {
+    for (bool value_cache : {true, false}) {
+      for (std::size_t threads : {1, 2, 7}) {
+        SCOPED_TRACE(::testing::Message()
+                     << c.name << ", value cache " << value_cache
+                     << ", threads " << threads);
+        MatchingOptions matching;
+        matching.dmax = c.dmax;
+        matching.value_cache = value_cache;
+        if (c.attributes.back() == "year") {
+          matching.metric_overrides = {{"year", "qgram2"}};
+        }
+        CheckDeltaOracle(c.data.relation, c.attributes, matching, threads,
+                         /*seed=*/threads);
+      }
+    }
+  }
+}
+
+// A new tuple with more than PairLevelSource::kMaxRun live partners
+// spans several Row calls; the uncached column has too many distinct
+// values for a table, so the runs go through the one-to-many rows.
+TEST(IncrementalDeltaTest, PartnersBeyondOneRun) {
+  Schema schema({{"s", AttributeType::kString}, {"t", AttributeType::kString}});
+  Rng rng(5);
+  const auto word = [&rng](std::size_t len) {
+    std::string w;
+    for (std::size_t k = 0; k < len; ++k) {
+      w.push_back(static_cast<char>('a' + rng.NextBounded(4)));
+    }
+    return w;
+  };
+  std::vector<std::vector<std::string>> base;
+  for (int r = 0; r < 1040; ++r) {
+    base.push_back({word(6 + rng.NextBounded(4)), word(1)});
+  }
+  std::vector<std::vector<std::string>> more(base.begin(), base.begin() + 30);
+  for (auto& row : more) row[0] = word(7);
+  for (bool value_cache : {true, false}) {
+    for (std::size_t threads : {1, 3}) {
+      SCOPED_TRACE(::testing::Message() << "value cache " << value_cache
+                                        << ", threads " << threads);
+      IncrementalOptions options;
+      options.matching.value_cache = value_cache;
+      options.threads = threads;
+      auto builder =
+          IncrementalMatchingBuilder::Create(schema, {"s", "t"}, options);
+      ASSERT_TRUE(builder.ok()) << builder.status();
+      auto resolved =
+          ResolveMatchingMetrics(schema, {"s", "t"}, options.matching);
+      ASSERT_TRUE(resolved.ok());
+      ApplyAndCheckDelta(&*builder, *resolved, value_cache, {base, {}});
+      std::uint64_t distances = 0;
+      ApplyAndCheckDelta(&*builder, *resolved, value_cache, {more, {2, 900}},
+                         &distances);
+      // Cached: `t` (4 values) is a 6-cell table; `s` has too many
+      // values for one, so each pair with unequal values costs a call.
+      std::uint64_t want = 0;
+      const std::vector<std::uint32_t> live = builder->store().LiveIds();
+      for (std::size_t b = live.size() - more.size(); b < live.size(); ++b) {
+        for (std::size_t a = 0; a < b; ++a) {
+          const auto& ra = builder->store().row(live[a]);
+          const auto& rb = builder->store().row(live[b]);
+          want += value_cache ? ra[0] != rb[0] : 2;
+        }
+      }
+      EXPECT_EQ(distances, want + (value_cache ? 6 : 0));
+    }
+  }
+}
+
+TEST(TupleStoreTest, MemoryUsageIsARunningTotalOfStoredRows) {
+  Schema schema({{"a", AttributeType::kString}, {"b", AttributeType::kString}});
+  TupleStore store(schema);
+  EXPECT_EQ(store.MemoryUsageBytes(), 0u);
+  const std::string long_value(100, 'x');
+  for (int r = 0; r < 50; ++r) {
+    ASSERT_TRUE(store.Insert({r % 3 == 0 ? long_value : "short",
+                              std::string(static_cast<std::size_t>(r), 'y')})
+                    .ok());
+    if (r % 7 == 0) {
+      ASSERT_TRUE(store.Erase(static_cast<std::uint32_t>(r)).ok());
+    }
+    // The walk MemoryUsageBytes replaces: every row ever stored, dead
+    // or live, plus the live map.
+    std::size_t walk = store.live().capacity();
+    for (std::uint32_t id = 0; id < store.next_id(); ++id) {
+      const std::vector<std::string>& values = store.row(id);
+      walk += values.capacity() * sizeof(std::string);
+      for (const std::string& value : values) {
+        if (value.capacity() > sizeof(std::string)) walk += value.capacity();
+      }
+    }
+    ASSERT_EQ(store.MemoryUsageBytes(), walk) << "after row " << r;
   }
 }
 

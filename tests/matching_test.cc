@@ -12,6 +12,7 @@
 #include "matching/serialization.h"
 #include "matching/value_cache.h"
 #include "metric/metric.h"
+#include "tests/test_util.h"
 
 namespace dd {
 namespace {
@@ -353,6 +354,42 @@ TEST(MatchingRowEntryTest, RowMatchesComputeLevel) {
   }
 }
 
+// Over a subset of rows, Row() takes positions in the subset.
+TEST(MatchingRowEntryTest, RowOverRowSubsetTakesPositions) {
+  RestaurantOptions restaurant;
+  restaurant.num_entities = 30;
+  GeneratedData data = GenerateRestaurant(restaurant);
+  const Relation& relation = data.relation;
+  std::vector<std::uint32_t> rows;
+  for (std::uint32_t r = 1; r < relation.num_rows(); r += 3) rows.push_back(r);
+  const std::vector<std::string> attrs = {"name", "address", "city", "type"};
+  for (int mode = 0; mode < 3; ++mode) {
+    MatchingOptions options;
+    options.value_cache = mode != 0;
+    if (mode == 2) options.value_cache_max_cells = 0;
+    auto resolved = ResolveMatchingMetrics(relation.schema(), attrs, options);
+    ASSERT_TRUE(resolved.ok());
+    const PairLevelSource source(relation, *resolved, options,
+                                 /*pairs_to_compute=*/1u << 20,
+                                 /*threads=*/2, &rows);
+    std::vector<std::uint32_t> js(rows.size());
+    for (std::uint32_t q = 0; q < js.size(); ++q) js[q] = q;
+    std::vector<Level> levels(js.size() * attrs.size());
+    for (std::uint32_t p = 0; p < rows.size(); p += 5) {
+      std::uint64_t calls = 0;
+      source.Row(p, js.data(), js.size(), levels.data(), &calls);
+      for (std::size_t q = 0; q < js.size(); ++q) {
+        std::vector<Level> want(attrs.size());
+        resolved->ComputeLevels(relation, rows[p], rows[q], want.data());
+        ASSERT_EQ(std::vector<Level>(levels.begin() + q * attrs.size(),
+                                     levels.begin() + (q + 1) * attrs.size()),
+                  want)
+            << "mode " << mode << " positions " << p << "," << q;
+      }
+    }
+  }
+}
+
 // mem.value_cache_bytes covers the interned row ids and value pointers
 // and the one-to-many rows' per-value data, not only the level tables.
 TEST(MatchingRowEntryTest, CacheBytesCountInternedValuesAndRowData) {
@@ -378,6 +415,104 @@ TEST(MatchingRowEntryTest, CacheBytesCountInternedValuesAndRowData) {
   options.value_cache = false;
   const PairLevelSource uncached(relation, *resolved, options, 1u << 20, 1);
   EXPECT_EQ(uncached.cache_bytes(), 0u);
+}
+
+// The survivors of `full` after dropping `rows`, appended one by one.
+MatchingRelation NaiveRemove(const MatchingRelation& full,
+                             const std::vector<std::uint32_t>& rows) {
+  MatchingRelation out(full.attribute_names(), full.dmax());
+  std::set<std::uint32_t> drop(rows.begin(), rows.end());
+  for (std::uint32_t r = 0; r < full.num_tuples(); ++r) {
+    if (drop.count(r) == 0) {
+      out.AddTuple(full.pair(r).first, full.pair(r).second, full.RowLevels(r));
+    }
+  }
+  return out;
+}
+
+// Same pairs and the same packed bytes up to each column's capacity:
+// operator== compares the used bytes (padding nibble included), and
+// every byte past them must still be zero.
+void ExpectSameRelation(const MatchingRelation& got,
+                        const MatchingRelation& want) {
+  ASSERT_EQ(got.pairs(), want.pairs());
+  for (std::size_t a = 0; a < got.num_attributes(); ++a) {
+    const PackedColumn& column = got.column(a);
+    EXPECT_EQ(column, want.column(a)) << "column " << a;
+    for (std::size_t b = column.packed_bytes(); b < column.capacity_bytes();
+         ++b) {
+      ASSERT_EQ(column.data()[b], 0) << "column " << a << " byte " << b;
+    }
+  }
+}
+
+TEST(MatchingRelationTest, RemoveRowsMatchesNaiveReference) {
+  for (int dmax : {10, 20}) {  // 4-bit and 8-bit columns
+    for (std::size_t size : {std::size_t{37}, std::size_t{38}}) {
+      const MatchingRelation full =
+          testutil::RandomMatching(3, dmax, size, 7 + size);
+      ASSERT_EQ(full.column(0).packed4(), dmax <= 14);
+      const std::uint32_t last = static_cast<std::uint32_t>(size - 1);
+      std::vector<std::vector<std::uint32_t>> sets = {
+          {},
+          {0},
+          {last},
+          {5, 6, 7, 8, 9, 10, 11},             // run from an odd row
+          {6, 7, 8, 9, 10, 11, 12, 13},        // run from an even row
+          {1, 2, 9, 10, 11, 20, last - 1, last},
+          {}, {}, {}};
+      for (std::uint32_t r = 0; r < size; ++r) {
+        (r % 2 == 1 ? sets[6] : sets[7]).push_back(r);  // odd / even rows
+        sets[8].push_back(r);                           // every row
+      }
+      for (const auto& rows : sets) {
+        SCOPED_TRACE(::testing::Message() << "dmax " << dmax << ", size "
+                                          << size << ", " << rows.size()
+                                          << " rows removed");
+        MatchingRelation got = full;
+        std::vector<Level> removed(rows.size() * 3);
+        got.RemoveRows(rows, removed.data());
+        MatchingRelation want = NaiveRemove(full, rows);
+        ExpectSameRelation(got, want);
+        for (std::size_t k = 0; k < rows.size(); ++k) {
+          EXPECT_EQ(std::vector<Level>(removed.begin() + 3 * k,
+                                       removed.begin() + 3 * (k + 1)),
+                    full.RowLevels(rows[k]));
+        }
+        MatchingRelation plain = full;  // no level capture
+        plain.RemoveRows(rows);
+        ExpectSameRelation(plain, want);
+        // Rows regrown over the vacated bytes must read level 0.
+        got.ResizeRows(size);
+        want.ResizeRows(size);
+        ExpectSameRelation(got, want);
+      }
+    }
+  }
+}
+
+TEST(MatchingRelationTest, RemoveDeadPairsCapturesRemovedTuples) {
+  for (int dmax : {10, 20}) {
+    // Pairs (2t, 2t + 1) over ids 0..79; ids 3, 4 and 41 die.
+    const MatchingRelation full = testutil::RandomMatching(2, dmax, 40, 3);
+    std::vector<std::uint8_t> live(80, 1);
+    live[3] = live[4] = live[41] = 0;
+    const std::vector<std::uint32_t> rows = {1, 2, 20};
+    MatchingRelation got = full;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> removed_pairs = {
+        {9, 9}};  // outputs are appended to
+    std::vector<Level> removed_levels = {1, 1};
+    got.RemoveDeadPairs(live, &removed_pairs, &removed_levels);
+    ExpectSameRelation(got, NaiveRemove(full, rows));
+    ASSERT_EQ(removed_pairs.size(), 4u);
+    ASSERT_EQ(removed_levels.size(), 8u);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      EXPECT_EQ(removed_pairs[k + 1], full.pair(rows[k]));
+      EXPECT_EQ(std::vector<Level>(removed_levels.begin() + 2 * (k + 1),
+                                   removed_levels.begin() + 2 * (k + 2)),
+                full.RowLevels(rows[k]));
+    }
+  }
 }
 
 TEST(MatchingRelationTest, IndexOf) {
