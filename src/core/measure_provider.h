@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/count_grid.h"
 #include "core/pattern.h"
 #include "core/rule.h"
 #include "matching/matching_relation.h"
@@ -37,9 +38,9 @@ struct ProviderStats {
   // Number of CountXY calls (one per evaluated ϕ[Y] candidate).
   std::uint64_t xy_evaluations = 0;
   // Matching tuples touched by QUERY-TIME scans (SetLhs / CountXY)
-  // only. The grid providers answer queries from their prefix-sum grids
-  // without touching M, so this stays 0 for them BY CONTRACT even
-  // though their construction makes one O(M) histogram pass — build
+  // only. The grid provider answers queries from its prefix-sum grid
+  // without touching M, so this stays 0 for it BY CONTRACT even
+  // though its construction makes one O(M) histogram pass — build
   // cost is reported through the "grid_build" trace span and the
   // provider.grid_cells gauge instead, keeping this field the
   // per-query scan work that the paper's pruning experiments plot.
@@ -109,7 +110,7 @@ class MeasureProvider {
   }
 
   // Matching tuples one CountXY call touches right now (0 for the grid
-  // providers BY CONTRACT — see ProviderStats::rows_scanned). Used both
+  // provider BY CONTRACT — see ProviderStats::rows_scanned). Used both
   // to replay rows_scanned for committed speculative work and as the
   // cost signal deciding whether within-LHS parallelism pays off.
   virtual std::uint64_t RowsPerCountXY() const { return 0; }
@@ -181,10 +182,11 @@ class ScanMeasureProvider : public MeasureProvider {
   std::vector<std::uint32_t> lhs_rows_;
 };
 
-// O(1)-per-count provider over an inclusive prefix-sum grid.
+// O(1)-per-count provider over a cumulative CountGrid, kept up to date
+// under added and removed tuples by Apply.
 class GridMeasureProvider : public MeasureProvider {
  public:
-  // Hard ceiling on the joint grid: 1 GiB of uint64 cells.
+  // Hard ceiling on every count grid: 1 GiB of uint64 cells.
   static constexpr std::size_t kMaxCells = std::size_t{1} << 27;
 
   // Fails when the grid (dmax+1)^(|X|+|Y|) would exceed `max_cells`.
@@ -192,19 +194,20 @@ class GridMeasureProvider : public MeasureProvider {
       const MatchingRelation& matching, ResolvedRule rule,
       std::size_t max_cells = kMaxCells);
 
-  // Builds the provider from externally-accumulated PLAIN histograms
-  // (one count per exact level combination; lhs dims low-order in
-  // `joint`, rhs high-order — the layout Create's histogram pass uses),
-  // prefix-summing them in place. This is how the streaming exact build
-  // (approx/exact_stream.h) gets O(d^c)-memory determination without
-  // ever materializing M: it streams the triangular pair enumeration
-  // straight into these histograms. `total` is the number of pairs the
-  // histograms cover; sizes must be (dmax+1)^(lhs_dims+rhs_dims) and
-  // (dmax+1)^lhs_dims.
-  static Result<std::unique_ptr<GridMeasureProvider>> CreateFromHistograms(
-      std::vector<std::uint64_t> joint, std::vector<std::uint64_t> lhs_grid,
-      std::uint64_t total, int dmax, std::size_t lhs_dims,
-      std::size_t rhs_dims);
+  // Takes a plain histogram (CountGrid before PrefixSum) of `rule`'s
+  // levels and prefix-sums it; total() is the number of tuples it
+  // counts. The streaming exact build (approx/exact_stream.h) comes in
+  // here without ever materializing M.
+  GridMeasureProvider(CountGrid histogram, ResolvedRule rule);
+
+  // Folds a batch of added and removed tuples, given as row-major level
+  // rows of `width` levels that the rule's columns index into (a
+  // MatchingDelta's added_levels / removed_levels), into the grid in
+  // O(b·c + d^c): histogram the batch, prefix-sum it, add the live grid.
+  // The result replaces the live grid, so clones taken before the call
+  // keep reading the counts they were taken with.
+  void Apply(const std::vector<Level>& added, const std::vector<Level>& removed,
+             std::size_t width);
 
   std::uint64_t total() const override { return total_; }
   void SetLhs(const Levels& lhs) override;
@@ -212,40 +215,31 @@ class GridMeasureProvider : public MeasureProvider {
   const Levels& current_lhs() const override { return current_lhs_; }
   std::uint64_t CountXY(const Levels& rhs) override;
 
-  // The grids are shared (immutable after Create), so a clone is a few
-  // scalars — across-LHS parallel determination clones freely.
+  // The grid is shared and never changed in place, so a clone is a few
+  // scalars and a pointer — across-LHS parallel determination clones
+  // freely.
   std::unique_ptr<MeasureProvider> CloneForThread() const override;
   bool SupportsConcurrentCountXY() const override { return true; }
   std::uint64_t CountXYConcurrent(const Levels& rhs) const override;
 
-  // Heap bytes of the shared cumulative grids. Clones share the same
-  // grids, so sum this once per provider family, not per clone. Feeds
-  // the mem.grid_bytes gauge (obs/resource.h).
-  std::size_t MemoryUsageBytes() const {
-    std::size_t bytes = 0;
-    if (joint_ != nullptr) bytes += joint_->capacity() * sizeof(std::uint64_t);
-    if (lhs_grid_ != nullptr) {
-      bytes += lhs_grid_->capacity() * sizeof(std::uint64_t);
-    }
-    return bytes;
-  }
+  // Heap bytes of the shared cumulative grid. Clones share the same
+  // grid, so sum this once per provider family, not per clone. Feeds the
+  // mem.grid_bytes and mem.delta_grid_bytes gauges (obs/resource.h).
+  std::size_t MemoryUsageBytes() const { return grid_->MemoryUsageBytes(); }
 
  private:
   GridMeasureProvider() = default;
 
-  std::size_t JointIndex(const Levels& rhs) const;
+  // count(b ⊨ ϕ[XY]) for the current ϕ[X]; DD_CHECKs count <= total.
+  std::uint64_t ReadXY(const Levels& rhs) const;
 
+  ResolvedRule rule_;
   std::uint64_t total_ = 0;
-  int dmax_ = 0;
-  std::size_t lhs_dims_ = 0;
-  std::size_t rhs_dims_ = 0;
-  // Joint cumulative grid over (lhs..., rhs...) levels: cell ϕ holds
-  // count(b[A] <= ϕ[A] for all A). lhs dims are low-order. Immutable
-  // after Create and shared with clones.
-  std::shared_ptr<const std::vector<std::uint64_t>> joint_;
-  // Marginal cumulative grid over lhs levels only (also shared).
-  std::shared_ptr<const std::vector<std::uint64_t>> lhs_grid_;
+  // The cumulative grid, shared with clones. Apply replaces it instead
+  // of changing it.
+  std::shared_ptr<const CountGrid> grid_;
   Levels current_lhs_;
+  std::size_t lhs_index_ = 0;
   std::uint64_t lhs_count_ = 0;
 };
 

@@ -9,8 +9,7 @@
 //   CollectLeq   the same predicate, but appending the satisfying row
 //                indices in ascending order (scan_subset SetLhs);
 //   GridIndices  per-row linearized grid cell sum_i level_i(r)*strides[i]
-//                (the histogram pass of GridMeasureProvider /
-//                DeltaGridProvider / the streaming exact build).
+//                (the histogram passes of CountGrid, core/count_grid.h).
 //
 // Each primitive has a scalar implementation and an AVX2 one (compiled
 // in simd_count_avx2.cc with -mavx2 -mbmi2 -mpopcnt on that TU only);
@@ -81,9 +80,9 @@ void CollectLeq(const ColumnView* views, const std::uint8_t* bounds,
                 std::vector<std::uint32_t>* out);
 
 // out[r - begin] = sum_i ViewLevel(views[i], r) * strides[i] for r in
-// [begin, end). Strides are uint32 — grid cell counts are capped well
-// below 2^32 (measure_provider.h max_cells); callers with larger grids
-// must keep their scalar path.
+// [begin, end). Strides are uint32 — CountGrid caps cell counts below
+// 2^32 (core/count_grid.h); callers with larger grids must keep their
+// scalar path.
 void GridIndices(const ColumnView* views, const std::uint32_t* strides,
                  std::size_t num_views, std::size_t begin, std::size_t end,
                  std::uint32_t* out);

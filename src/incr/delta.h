@@ -7,8 +7,8 @@
 //
 // The delta is the contract between the IncrementalMatchingBuilder
 // (which produces it while mutating the relation) and delta-aware
-// consumers — DeltaGridProvider::Apply folds it into prefix-sum count
-// grids in O(|delta| + d^c) without re-reading M.
+// consumers — GridMeasureProvider::Apply folds its level rows into the
+// prefix-sum count grid in O(|delta| + d^c) without re-reading M.
 
 #ifndef DD_INCR_DELTA_H_
 #define DD_INCR_DELTA_H_

@@ -48,9 +48,10 @@ class IncrementalMatchingBuilder {
 
   // Applies one batch: deletes first (by tuple id), then inserts (rows
   // in schema order; ids are assigned ascending). Returns the delta
-  // that transformed matching() — feed it to DeltaGridProvider::Apply
-  // to keep counting queries O(1). The whole batch is validated before
-  // any mutation, so a failed call leaves the state untouched.
+  // that transformed matching() — feed its level rows to
+  // GridMeasureProvider::Apply to keep counting queries O(1). The whole
+  // batch is validated before any mutation, so a failed call leaves the
+  // state untouched.
   Result<MatchingDelta> ApplyBatch(
       const std::vector<std::vector<std::string>>& inserts,
       const std::vector<std::uint32_t>& deletes);

@@ -34,10 +34,15 @@ Result<MaintenanceEngine> MaintenanceEngine::Create(const Schema& schema,
       std::make_unique<IncrementalMatchingBuilder>(std::move(builder));
   DD_ASSIGN_OR_RETURN(engine.resolved_,
                       ResolveRule(engine.builder_->matching(), engine.rule_));
+  // The instance starts empty, and so does its grid.
   DD_ASSIGN_OR_RETURN(
-      engine.provider_,
-      DeltaGridProvider::Create(engine.builder_->matching(), engine.resolved_,
-                                engine.options_.max_cells));
+      CountGrid grid,
+      CountGrid::Create(engine.builder_->dmax(), engine.resolved_.lhs.size(),
+                        engine.resolved_.rhs.size(),
+                        GridMeasureProvider::kMaxCells));
+  engine.provider_ =
+      std::make_unique<GridMeasureProvider>(std::move(grid), engine.resolved_);
+  obs::SetMemoryGauge("delta_grid", engine.provider_->MemoryUsageBytes());
   return engine;
 }
 
@@ -70,7 +75,8 @@ Result<BatchOutcome> MaintenanceEngine::ApplyBatch(
 
   DD_ASSIGN_OR_RETURN(MatchingDelta delta,
                       builder_->ApplyBatch(inserts, deletes));
-  provider_->Apply(delta);
+  provider_->Apply(delta.added_levels, delta.removed_levels,
+                   delta.num_attributes);
 
   BatchOutcome outcome;
   outcome.batch_seq = ++batch_seq_;

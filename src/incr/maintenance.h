@@ -1,5 +1,5 @@
 // Drift-triggered re-determination over a live instance: the engine
-// owns the delta-maintained matching relation and count grids for one
+// owns the delta-maintained matching relation and count grid for one
 // rule, tracks how far the published threshold pattern's statistics
 // (D(ϕ*), C(ϕ*), and hence Ū(ϕ*)) have drifted since publication, and
 // re-runs the paper's determination only when the drift exceeds a bound
@@ -16,7 +16,7 @@
 // Per batch of b changes against N live tuples the engine costs
 // O(b·N) distance evaluations + O(d^c) grid merge + O(1) drift probe;
 // a triggered re-determination costs one DA/DAP search over the
-// maintained grids (every count O(1) — no rebuild of anything).
+// maintained grid (every count O(1) — no rebuild of anything).
 
 #ifndef DD_INCR_MAINTENANCE_H_
 #define DD_INCR_MAINTENANCE_H_
@@ -29,7 +29,7 @@
 
 #include "common/result.h"
 #include "core/determiner.h"
-#include "incr/delta_grid_provider.h"
+#include "core/measure_provider.h"
 #include "incr/incremental_builder.h"
 
 namespace dd {
@@ -37,7 +37,7 @@ namespace dd {
 struct MaintenanceOptions {
   IncrementalOptions incremental;
   // Search configuration. `provider` is ignored — the engine always
-  // searches its own delta-maintained grids; top_l is raised to at
+  // searches its own delta-maintained grid; top_l is raised to at
   // least 2 so a runner-up (and thus the utility gap) exists.
   // `determine.threads` applies to the search as usual.
   DetermineOptions determine;
@@ -46,8 +46,6 @@ struct MaintenanceOptions {
   // publication time. 0 re-determines on any drift; negative values
   // re-determine every batch.
   double drift_fraction = 0.5;
-  // Cell budget of the delta grid (Create fails beyond it).
-  std::size_t max_cells = std::size_t{1} << 27;
 };
 
 enum class UpdateReason { kInitial, kDrift };
@@ -87,7 +85,7 @@ class MaintenanceEngine {
                                           MaintenanceOptions options);
 
   // Applies one instance batch end to end: delta-build the matching,
-  // merge the delta into the grids, probe the published pattern's
+  // merge the delta into the grid, probe the published pattern's
   // drift, and re-determine if warranted.
   Result<BatchOutcome> ApplyBatch(
       const std::vector<std::vector<std::string>>& inserts,
@@ -109,7 +107,7 @@ class MaintenanceEngine {
   MaintenanceEngine(RuleSpec rule, MaintenanceOptions options)
       : rule_(std::move(rule)), options_(std::move(options)) {}
 
-  // Runs determination on the maintained grids and publishes the
+  // Runs determination on the maintained grid and publishes the
   // winner; appends to the change-feed.
   void Redetermine(UpdateReason reason, BatchOutcome* outcome);
 
@@ -117,7 +115,7 @@ class MaintenanceEngine {
   MaintenanceOptions options_;
   std::unique_ptr<IncrementalMatchingBuilder> builder_;
   ResolvedRule resolved_;
-  std::unique_ptr<DeltaGridProvider> provider_;
+  std::unique_ptr<GridMeasureProvider> provider_;
 
   bool has_published_ = false;
   DeterminedPattern published_;

@@ -1,6 +1,6 @@
 // Property tests for the incremental maintenance subsystem: any
 // randomized insert/delete batch sequence applied through
-// IncrementalMatchingBuilder + DeltaGridProvider must be
+// IncrementalMatchingBuilder + GridMeasureProvider::Apply must be
 // indistinguishable — matching relation, counting queries, and
 // determined thresholds — from tearing the instance down and rebuilding
 // from scratch. 25 seeded sequences over each of two datasets (the
@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "core/determiner.h"
 #include "data/generators.h"
-#include "incr/delta_grid_provider.h"
 #include "incr/incremental_builder.h"
 #include "incr/maintenance.h"
 #include "incr/tuple_store.h"
@@ -78,7 +77,7 @@ void RunSequence(const Relation& pool, const RuleSpec& rule, int dmax,
   ASSERT_TRUE(builder.ok()) << builder.status();
   auto resolved = ResolveRule(builder->matching(), rule);
   ASSERT_TRUE(resolved.ok()) << resolved.status();
-  auto maintained = DeltaGridProvider::Create(builder->matching(), *resolved);
+  auto maintained = GridMeasureProvider::Create(builder->matching(), *resolved);
   ASSERT_TRUE(maintained.ok()) << maintained.status();
 
   Rng rng(seed);
@@ -87,7 +86,8 @@ void RunSequence(const Relation& pool, const RuleSpec& rule, int dmax,
     BatchPlan plan = DrawBatch(pool, builder->store(), &rng);
     auto delta = builder->ApplyBatch(plan.inserts, plan.deletes);
     ASSERT_TRUE(delta.ok()) << delta.status();
-    maintained.value()->Apply(*delta);
+    maintained.value()->Apply(delta->added_levels, delta->removed_levels,
+                              delta->num_attributes);
 
     // The incrementally maintained matching, canonicalized to ascending
     // pair order, must equal the from-scratch rebuild exactly.
@@ -454,17 +454,19 @@ TEST(IncrementalBuilderTest, DeleteEverythingEmptiesTheMatching) {
   for (std::size_t r = 0; r < 5; ++r) rows.push_back(hotel.relation.row(r));
   auto resolved = ResolveRule(builder->matching(), {{"Name"}, {"Region"}});
   ASSERT_TRUE(resolved.ok());
-  auto grid = DeltaGridProvider::Create(builder->matching(), *resolved);
+  auto grid = GridMeasureProvider::Create(builder->matching(), *resolved);
   ASSERT_TRUE(grid.ok());
 
   auto grow = builder->ApplyBatch(rows, {});
   ASSERT_TRUE(grow.ok());
-  grid.value()->Apply(*grow);
+  grid.value()->Apply(grow->added_levels, grow->removed_levels,
+                      grow->num_attributes);
   EXPECT_EQ(builder->matching().num_tuples(), 10u);  // C(5,2)
 
   auto shrink = builder->ApplyBatch({}, builder->store().LiveIds());
   ASSERT_TRUE(shrink.ok());
-  grid.value()->Apply(*shrink);
+  grid.value()->Apply(shrink->added_levels, shrink->removed_levels,
+                      shrink->num_attributes);
   EXPECT_EQ(shrink->num_removed(), 10u);
   EXPECT_EQ(shrink->num_added(), 0u);
   EXPECT_EQ(builder->matching().num_tuples(), 0u);

@@ -1,10 +1,17 @@
 #include "core/measure_provider.h"
 
+#include <iterator>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
+#include "common/rng.h"
 #include "common/string_util.h"
+#include "core/count_grid.h"
 #include "core/determiner.h"
 #include "core/measures.h"
 #include "core/result_io.h"
@@ -298,6 +305,283 @@ TEST(AutoProviderTest, ResultsByteEqualScan) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// CountGrid oracle: every way of filling a grid (matching columns, level
+// rows, merged chunks, signed Apply batches) against a brute-force count
+// of the rows whose rule levels are all <= ϕ.
+
+// `rows` random level rows of `width` levels in [0, dmax], row-major.
+std::vector<Level> RandomRows(std::size_t rows, std::size_t width, int dmax,
+                              Rng* rng) {
+  std::vector<Level> levels(rows * width);
+  for (Level& level : levels) {
+    level = static_cast<Level>(rng->NextBounded(dmax + 1));
+  }
+  return levels;
+}
+
+// A rule over `dims` of the `width` row columns, in shuffled order, with
+// a random split into at least one LHS dim and the rest RHS.
+ResolvedRule RandomRule(std::size_t dims, std::size_t width, Rng* rng) {
+  std::vector<std::size_t> columns(width);
+  for (std::size_t c = 0; c < width; ++c) columns[c] = c;
+  for (std::size_t c = width; c > 1; --c) {
+    std::swap(columns[c - 1], columns[rng->NextBounded(c)]);
+  }
+  const std::size_t lhs = 1 + rng->NextBounded(dims);
+  ResolvedRule rule;
+  rule.lhs.assign(columns.begin(), columns.begin() + lhs);
+  rule.rhs.assign(columns.begin() + lhs, columns.begin() + dims);
+  return rule;
+}
+
+MatchingRelation MatchingOfRows(const std::vector<Level>& levels,
+                                std::size_t width, int dmax) {
+  std::vector<std::vector<Level>> rows;
+  for (std::size_t r = 0; r * width < levels.size(); ++r) {
+    rows.emplace_back(levels.begin() + r * width,
+                      levels.begin() + (r + 1) * width);
+  }
+  return MakeMatching(std::vector<std::string>(width, "a"), dmax, rows);
+}
+
+CountGrid GridOfRows(const std::vector<Level>& levels, std::size_t width,
+                     int dmax, const ResolvedRule& rule) {
+  auto grid = CountGrid::Create(dmax, rule.lhs.size(), rule.rhs.size(),
+                                GridMeasureProvider::kMaxCells);
+  DD_CHECK(grid.ok());
+  grid->AddRows(levels.data(), levels.size() / width, width, rule, +1);
+  return std::move(grid).value();
+}
+
+std::uint64_t BruteCount(const std::vector<Level>& levels, std::size_t width,
+                         const ResolvedRule& rule, const Levels& lhs,
+                         const Levels& rhs) {
+  std::uint64_t count = 0;
+  for (std::size_t r = 0; r * width < levels.size(); ++r) {
+    const Level* row = levels.data() + r * width;
+    bool match = true;
+    for (std::size_t d = 0; d < lhs.size(); ++d) {
+      match = match && row[rule.lhs[d]] <= lhs[d];
+    }
+    for (std::size_t d = 0; d < rhs.size(); ++d) {
+      match = match && row[rule.rhs[d]] <= rhs[d];
+    }
+    count += match ? 1 : 0;
+  }
+  return count;
+}
+
+// Calls fn(lhs, rhs) for every ϕ of the threshold lattice.
+template <typename Fn>
+void ForEachPattern(std::size_t lhs_dims, std::size_t rhs_dims, int dmax,
+                    const Fn& fn) {
+  Levels levels(lhs_dims + rhs_dims, 0);
+  while (true) {
+    fn(Levels(levels.begin(), levels.begin() + lhs_dims),
+       Levels(levels.begin() + lhs_dims, levels.end()));
+    std::size_t d = 0;
+    while (d < levels.size() && levels[d] == dmax) levels[d++] = 0;
+    if (d == levels.size()) return;
+    ++levels[d];
+  }
+}
+
+// Every cell of two cumulative grids, and every LHS count, agree.
+void ExpectSameCounts(const CountGrid& a, const CountGrid& b) {
+  ASSERT_EQ(a.num_cells(), b.num_cells());
+  ForEachPattern(a.lhs_dims(), a.rhs_dims(), a.dmax(),
+                 [&](const Levels& lhs, const Levels& rhs) {
+                   const std::size_t x = a.LhsIndex(lhs);
+                   ASSERT_EQ(a.Count(x, rhs), b.Count(x, rhs));
+                   ASSERT_EQ(a.LhsCount(x), b.LhsCount(x));
+                 });
+}
+
+// dmax 1, 10 and 14 store 4-bit PackedColumns; 15 and 20 store bytes.
+constexpr int kOracleDmax[] = {1, 10, 14, 15, 20};
+
+TEST(CountGridTest, EveryCellMatchesBruteForce) {
+  Rng rng(101);
+  for (std::size_t dims = 1; dims <= 4; ++dims) {
+    for (int dmax : kOracleDmax) {
+      SCOPED_TRACE(::testing::Message() << "dims " << dims << " dmax " << dmax);
+      const std::size_t width = dims + 1;
+      // Odd and > 256 rows: a packed4 tail nibble, vector blocks plus a
+      // scalar tail, and more than one AddRows batch.
+      const std::vector<Level> levels = RandomRows(301, width, dmax, &rng);
+      const ResolvedRule rule = RandomRule(dims, width, &rng);
+
+      CountGrid from_rows = GridOfRows(levels, width, dmax, rule);
+      from_rows.PrefixSum();
+      ForEachPattern(rule.lhs.size(), rule.rhs.size(), dmax,
+                     [&](const Levels& lhs, const Levels& rhs) {
+                       const std::size_t x = from_rows.LhsIndex(lhs);
+                       ASSERT_EQ(from_rows.Count(x, rhs),
+                                 BruteCount(levels, width, rule, lhs, rhs));
+                       ASSERT_EQ(from_rows.LhsCount(x),
+                                 BruteCount(levels, width, rule, lhs, {}));
+                     });
+      EXPECT_EQ(from_rows.Total(), 301u);
+
+      const MatchingRelation matching = MatchingOfRows(levels, width, dmax);
+      ASSERT_EQ(matching.column(0).packed4(), dmax <= 14);
+      auto from_columns = CountGrid::Create(dmax, rule.lhs.size(),
+                                            rule.rhs.size(),
+                                            GridMeasureProvider::kMaxCells);
+      ASSERT_TRUE(from_columns.ok());
+      from_columns->AddColumns(matching, rule);
+      from_columns->PrefixSum();
+      ExpectSameCounts(*from_columns, from_rows);
+    }
+  }
+}
+
+TEST(CountGridTest, AddColumnsEqualsAddRowsAcrossBlocks) {
+  // More rows than one 4096-row AddColumns block.
+  Rng rng(103);
+  for (int dmax : kOracleDmax) {
+    SCOPED_TRACE(::testing::Message() << "dmax " << dmax);
+    const std::vector<Level> levels = RandomRows(9001, 3, dmax, &rng);
+    const ResolvedRule rule{{2}, {0, 1}};
+    CountGrid from_rows = GridOfRows(levels, 3, dmax, rule);
+    from_rows.PrefixSum();
+    auto from_columns =
+        CountGrid::Create(dmax, 1, 2, GridMeasureProvider::kMaxCells);
+    ASSERT_TRUE(from_columns.ok());
+    from_columns->AddColumns(MatchingOfRows(levels, 3, dmax), rule);
+    from_columns->PrefixSum();
+    ExpectSameCounts(*from_columns, from_rows);
+  }
+}
+
+TEST(CountGridTest, MergedChunksEqualOneGrid) {
+  Rng rng(107);
+  for (std::size_t dims = 1; dims <= 4; ++dims) {
+    for (int dmax : kOracleDmax) {
+      SCOPED_TRACE(::testing::Message() << "dims " << dims << " dmax " << dmax);
+      const std::vector<Level> levels = RandomRows(500, dims, dmax, &rng);
+      const ResolvedRule rule = RandomRule(dims, dims, &rng);
+      CountGrid whole = GridOfRows(levels, dims, dmax, rule);
+      whole.PrefixSum();
+
+      // Uneven chunks, one of them empty.
+      const std::size_t cuts[] = {0, 0, 7, 260, 500};
+      auto merged = CountGrid::Create(dmax, rule.lhs.size(), rule.rhs.size(),
+                                      GridMeasureProvider::kMaxCells);
+      ASSERT_TRUE(merged.ok());
+      for (std::size_t k = 0; k + 1 < std::size(cuts); ++k) {
+        const std::vector<Level> chunk(levels.begin() + cuts[k] * dims,
+                                       levels.begin() + cuts[k + 1] * dims);
+        merged->Merge(GridOfRows(chunk, dims, dmax, rule));
+      }
+      merged->PrefixSum();
+      ExpectSameCounts(*merged, whole);
+    }
+  }
+}
+
+TEST(CountGridTest, ApplySequenceEqualsFreshBuild) {
+  Rng rng(109);
+  for (std::size_t dims = 1; dims <= 4; ++dims) {
+    for (int dmax : kOracleDmax) {
+      SCOPED_TRACE(::testing::Message() << "dims " << dims << " dmax " << dmax);
+      const std::size_t width = dims + 1;
+      const ResolvedRule rule = RandomRule(dims, width, &rng);
+      std::vector<Level> live = RandomRows(40, width, dmax, &rng);
+      GridMeasureProvider provider(GridOfRows(live, width, dmax, rule), rule);
+      for (int step = 0; step < 6; ++step) {
+        SCOPED_TRACE(::testing::Message() << "step " << step);
+        const std::vector<Level> added =
+            RandomRows(rng.NextBounded(300), width, dmax, &rng);
+        // Remove a random subset of the live rows.
+        std::vector<Level> removed;
+        std::vector<Level> kept;
+        for (std::size_t r = 0; r * width < live.size(); ++r) {
+          std::vector<Level>& to = rng.NextBounded(3) == 0 ? removed : kept;
+          to.insert(to.end(), live.begin() + r * width,
+                    live.begin() + (r + 1) * width);
+        }
+        provider.Apply(added, removed, width);
+        live = kept;
+        live.insert(live.end(), added.begin(), added.end());
+
+        CountGrid fresh = GridOfRows(live, width, dmax, rule);
+        fresh.PrefixSum();
+        ASSERT_EQ(provider.total(), live.size() / width);
+        ASSERT_EQ(fresh.Total(), provider.total());
+        const Levels all_lhs(rule.lhs.size(), dmax);
+        const Levels all_rhs(rule.rhs.size(), dmax);
+        provider.SetLhs(all_lhs);
+        EXPECT_EQ(provider.CountXY(all_rhs), provider.total());
+        ForEachPattern(rule.lhs.size(), rule.rhs.size(), dmax,
+                       [&](const Levels& lhs, const Levels& rhs) {
+                         if (lhs != provider.current_lhs()) {
+                           provider.SetLhs(lhs);
+                         }
+                         const std::size_t x = fresh.LhsIndex(lhs);
+                         ASSERT_EQ(provider.lhs_count(), fresh.LhsCount(x));
+                         ASSERT_EQ(provider.CountXY(rhs), fresh.Count(x, rhs));
+                       });
+      }
+    }
+  }
+}
+
+TEST(CountGridTest, MaxCellsBoundIsExact) {
+  for (std::size_t dims = 1; dims <= 4; ++dims) {
+    for (int dmax : kOracleDmax) {
+      std::size_t cells = 1;
+      for (std::size_t d = 0; d < dims; ++d) cells *= dmax + 1;
+      auto exact = CountGrid::NumCells(dmax, dims, cells);
+      ASSERT_TRUE(exact.ok());
+      EXPECT_EQ(*exact, cells);
+      EXPECT_FALSE(CountGrid::NumCells(dmax, dims, cells - 1).ok());
+      EXPECT_TRUE(CountGrid::Create(dmax, 1, dims - 1, cells).ok());
+      EXPECT_FALSE(CountGrid::Create(dmax, 1, dims - 1, cells - 1).ok());
+    }
+  }
+  EXPECT_FALSE(CountGrid::NumCells(0, 1, GridMeasureProvider::kMaxCells).ok());
+  EXPECT_FALSE(
+      CountGrid::NumCells(256, 1, GridMeasureProvider::kMaxCells).ok());
+}
+
+TEST(GridProviderTest, CloneKeepsCountsAcrossApply) {
+  // Copy-on-write: Apply replaces the live grid, so a clone taken
+  // before it keeps reading the old counts while the provider reads the
+  // new ones.
+  Rng rng(113);
+  const int dmax = 6;
+  const ResolvedRule rule{{0, 1}, {2}};
+  const std::vector<Level> before = RandomRows(200, 3, dmax, &rng);
+  const MatchingRelation m = MatchingOfRows(before, 3, dmax);
+  auto provider = GridMeasureProvider::Create(m, rule);
+  ASSERT_TRUE(provider.ok());
+  std::unique_ptr<MeasureProvider> clone = (*provider)->CloneForThread();
+  ASSERT_NE(clone, nullptr);
+
+  const std::vector<Level> added = RandomRows(50, 3, dmax, &rng);
+  const std::vector<Level> removed(before.begin(), before.begin() + 30 * 3);
+  (*provider)->Apply(added, removed, 3);
+  (*provider)->Apply(added, {}, 3);
+
+  std::vector<Level> after(before.begin() + 30 * 3, before.end());
+  after.insert(after.end(), added.begin(), added.end());
+  after.insert(after.end(), added.begin(), added.end());
+  EXPECT_EQ(clone->total(), 200u);
+  EXPECT_EQ((*provider)->total(), 270u);
+  ForEachPattern(2, 1, dmax, [&](const Levels& lhs, const Levels& rhs) {
+    clone->SetLhs(lhs);
+    (*provider)->SetLhs(lhs);
+    ASSERT_EQ(clone->lhs_count(), BruteCount(before, 3, rule, lhs, {}));
+    ASSERT_EQ(clone->CountXY(rhs), BruteCount(before, 3, rule, lhs, rhs));
+    ASSERT_EQ(clone->CountXYConcurrent(rhs), clone->CountXY(rhs));
+    ASSERT_EQ((*provider)->lhs_count(), BruteCount(after, 3, rule, lhs, {}));
+    ASSERT_EQ((*provider)->CountXY(rhs),
+              BruteCount(after, 3, rule, lhs, rhs));
+  });
 }
 
 TEST(MeasuresTest, FromCountsComputesAllStatistics) {
