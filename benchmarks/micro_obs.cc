@@ -183,8 +183,9 @@ void BM_PoolObserverDisabledCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolObserverDisabledCheck)->Threads(1)->Threads(4);
 
-// Enabled per-chunk recording: two clock reads happen in the pool; here
-// we isolate the collector's seqlock ring append + live counter bumps.
+// Enabled per-chunk recording: the clock reads happen in the pool; here
+// we isolate the collector's append to the one event ring (the flight
+// recorder) + live counter bumps.
 void BM_PoolStatsOnChunkEnabled(benchmark::State& state) {
   dd::obs::PoolStatsCollector& collector =
       dd::obs::PoolStatsCollector::Global();
@@ -298,10 +299,11 @@ int ReportExplainOverhead() {
   return 0;
 }
 
-// The ISSUE acceptance number for the pool-observer hook: per-chunk
-// disabled-path cost, measured as the exact instruction sequence the
-// pool runs when stats are off (observer load + null test). Reported
-// as a BENCH_JSON line with the budget so CI trends it.
+// The budget for the pool-observer hook: per-chunk disabled-path
+// cost, measured as the exact instruction sequence the pool runs when
+// recording is off (observer load + null test), and the enabled chunk
+// append into the one event ring. Reported as a BENCH_JSON line with
+// the budget so CI trends it.
 int ReportPoolStatsOverhead() {
   dd::obs::PoolStatsCollector& collector =
       dd::obs::PoolStatsCollector::Global();
@@ -351,10 +353,10 @@ int ReportPoolStatsOverhead() {
   return disabled_ns <= 2.0 ? 0 : 1;
 }
 
-// Flight-recorder record path with recording on: clock read + 56-byte
-// ring slot write + release store.
+// Flight-recorder record path with recording on: clock read + one
+// seqlock slot write into the thread's event ring.
 void BM_FlightRecordEnabled(benchmark::State& state) {
-  dd::obs::diag::FlightRecorder::Enable(1024);
+  dd::obs::diag::FlightRecorder::Enable();
   std::uint64_t i = 0;
   for (auto _ : state) {
     dd::obs::diag::FlightRecord(dd::obs::diag::EventType::kCustom, "bench",
@@ -377,10 +379,10 @@ void BM_FlightRecordDisabled(benchmark::State& state) {
 }
 BENCHMARK(BM_FlightRecordDisabled);
 
-// The ISSUE acceptance numbers for the flight recorder: <= 50 ns per
-// recorded event, <= 2 ns for the disabled gate. Hard-gated like the
-// pool-observer budget so CI fails on regression, and reported as a
-// BENCH_JSON line so the perf harness trends it.
+// The budgets for the one event ring's append (FlightRecord): <= 50 ns
+// per recorded event, <= 2 ns for the disabled gate. Hard-gated like
+// the pool-observer budget so CI fails on regression, and reported as
+// a BENCH_JSON line so the perf harness trends it.
 int ReportFlightRecorderOverhead() {
   using dd::obs::diag::EventType;
   using dd::obs::diag::FlightRecord;
@@ -400,8 +402,8 @@ int ReportFlightRecorderOverhead() {
           .count() /
       static_cast<double>(kDisabledIters);
 
-  FlightRecorder::Enable(1024);
-  FlightRecorder::ResetForTest();
+  FlightRecorder::Enable();
+  FlightRecorder::Reset();
   constexpr std::uint64_t kEnabledIters = 1 << 22;
   start = std::chrono::steady_clock::now();
   for (std::uint64_t n = 0; n < kEnabledIters; ++n) {

@@ -1,5 +1,7 @@
 #include "common/parallel.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -77,6 +79,13 @@ std::uint64_t NowNs() {
           .count());
 }
 
+std::uint64_t ThreadCpuNs() {
+  timespec ts{};
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
 // One ParallelFor invocation in flight on the pool. Workers and the
 // caller claim chunk indices from `next`; the caller blocks until
 // `done` reaches `chunks`.
@@ -111,9 +120,11 @@ void ExecuteChunk(PoolTask& task, std::size_t c, bool caller) {
     event.begin = begin;
     event.end = end;
     event.caller = caller;
+    const std::uint64_t cpu_start = ThreadCpuNs();
     event.start_ns = NowNs();
     (*task.fn)(c, begin, end);
     event.end_ns = NowNs();
+    event.cpu_ns = ThreadCpuNs() - cpu_start;
     task.observer->OnChunk(event);
   } else {
     (*task.fn)(c, begin, end);
@@ -263,6 +274,7 @@ void ParallelFor(const char* phase, std::size_t count, std::size_t threads,
       event.begin = 0;
       event.end = count;
       event.caller = true;
+      const std::uint64_t cpu_start = ThreadCpuNs();
       event.start_ns = NowNs();
       t_in_chunk = true;
       PoolHeartbeat(/*begin=*/true);
@@ -272,6 +284,7 @@ void ParallelFor(const char* phase, std::size_t count, std::size_t threads,
       PoolHeartbeat(/*begin=*/false);
       t_in_chunk = false;
       event.end_ns = NowNs();
+      event.cpu_ns = ThreadCpuNs() - cpu_start;
       observer->OnChunk(event);
       PoolInvocationEvent inv;
       inv.phase = phase;

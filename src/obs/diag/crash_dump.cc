@@ -78,21 +78,42 @@ std::deque<std::string>& FtdcFrames() {
 }
 constexpr std::size_t kMaxFtdcFrames = 16;
 
-void SinkEventLine(DumpSink& sink, const FlightEvent& ev) {
-  SinkDec(sink, ev.seq);
-  SinkChar(sink, ' ');
-  SinkDec(sink, ev.t_ns);
-  SinkChar(sink, ' ');
-  SinkStr(sink, EventTypeName(ev.type));
-  SinkChar(sink, ' ');
-  // name is NUL-terminated by the recorder; '-' keeps the column count
-  // stable for empty names.
-  SinkStr(sink, ev.name[0] != '\0' ? ev.name : "-");
-  SinkChar(sink, ' ');
-  SinkDec(sink, ev.arg0);
-  SinkChar(sink, ' ');
-  SinkDec(sink, ev.arg1);
-  SinkChar(sink, '\n');
+// The flight-recorder section, shared by crash and live dumps: one
+// "--- flightrec tid N" header per ring, then one line per retained
+// event. Async-signal-safe (ReadRings and the sink writes only).
+class RingDumper : public RingVisitor {
+ public:
+  explicit RingDumper(DumpSink& sink) : sink_(sink) {}
+
+  void Thread(int /*slot*/, int tid, std::uint64_t /*recorded*/) override {
+    SinkStr(sink_, "--- flightrec tid ");
+    SinkDec(sink_, static_cast<std::uint64_t>(tid));
+    SinkChar(sink_, '\n');
+  }
+
+  void Event(const RingEvent& ev) override {
+    SinkDec(sink_, ev.seq);
+    SinkChar(sink_, ' ');
+    SinkDec(sink_, ev.t_ns);
+    SinkChar(sink_, ' ');
+    SinkStr(sink_, EventTypeName(ev.type));
+    SinkChar(sink_, ' ');
+    // '-' keeps the column count stable for empty names.
+    SinkStr(sink_, ev.name[0] != '\0' ? ev.name : "-");
+    SinkChar(sink_, ' ');
+    SinkDec(sink_, ev.arg[0]);
+    SinkChar(sink_, ' ');
+    SinkDec(sink_, ev.arg[1]);
+    SinkChar(sink_, '\n');
+  }
+
+ private:
+  DumpSink& sink_;
+};
+
+void SinkFlightRings(DumpSink& sink) {
+  RingDumper dumper(sink);
+  ReadRings(dumper);
 }
 
 void SinkHeader(DumpSink& sink, const char* reason) {
@@ -150,26 +171,6 @@ void SinkHeartbeats(DumpSink& sink) {
   }
 }
 
-// Raw, lock-free ring walk — the handler path. Normal-context dumps go
-// through FlightRecorder::Snapshot() for torn-slot filtering, but both
-// emit identical line grammar.
-void SinkFlightRingsRaw(DumpSink& sink) {
-  const internal::ThreadRing* rings[512];
-  const std::size_t n = FlightRecorder::RawRings(rings, 512);
-  for (std::size_t i = 0; i < n; ++i) {
-    const internal::ThreadRing* ring = rings[i];
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    SinkStr(sink, "--- flightrec tid ");
-    SinkDec(sink, static_cast<std::uint64_t>(ring->tid));
-    SinkChar(sink, '\n');
-    const std::uint64_t start =
-        head > ring->capacity ? head - ring->capacity : 0;
-    for (std::uint64_t s = start; s < head; ++s) {
-      SinkEventLine(sink, ring->events[s & ring->mask]);
-    }
-  }
-}
-
 void SinkModules(DumpSink& sink) {
   SinkStr(sink, "--- modules\n");
   SinkFile(sink, "/proc/self/maps");
@@ -204,7 +205,7 @@ void WriteCrashDumpToFd(int fd, int sig, void* fault_addr) {
   SinkBacktrace(sink, SigsafeTid(), frames, count);
 
   SinkHeartbeats(sink);
-  SinkFlightRingsRaw(sink);
+  SinkFlightRings(sink);
   SinkModules(sink);
   SinkPreamble(sink);
   SinkStr(sink, "--- end\n");
@@ -289,7 +290,7 @@ bool EnableDiagnostics(const DiagOptions& options) {
   if (!g_enabled.compare_exchange_strong(expected, true)) return true;
 
   g_start_ns = SigsafeNowNs();
-  FlightRecorder::Enable(options.flight_ring_capacity);
+  FlightRecorder::Enable();
   InitStackCapture();
   g_pool_heartbeat = RegisterHeartbeat("pool.chunk");
   dd::SetPoolHeartbeatFn(&PoolHeartbeatShim);
@@ -424,12 +425,7 @@ std::string CaptureLiveDump(const char* reason) {
   }
 
   SinkHeartbeats(sink);
-  for (const auto& thread : FlightRecorder::Snapshot()) {
-    SinkStr(sink, "--- flightrec tid ");
-    SinkDec(sink, static_cast<std::uint64_t>(thread.tid));
-    SinkChar(sink, '\n');
-    for (const FlightEvent& ev : thread.events) SinkEventLine(sink, ev);
-  }
+  SinkFlightRings(sink);
   SinkModules(sink);
 
   // Live dumps can afford a fresh render instead of the preamble.

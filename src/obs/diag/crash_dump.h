@@ -50,7 +50,6 @@ struct DiagOptions {
   // A heartbeat armed but silent for longer than this is a stall.
   int stall_timeout_ms = 30000;
   int watchdog_interval_ms = 250;
-  std::size_t flight_ring_capacity = 1024;
   bool install_signal_handlers = true;
   bool start_watchdog = true;
 };

@@ -1,43 +1,33 @@
 #include "obs/diag/flight_recorder.h"
 
-#include <cstring>
 #include <mutex>
 
+#include "common/parallel.h"
 #include "obs/diag/sigsafe.h"
+#include "obs/pool_stats.h"
 
 namespace dd::obs::diag {
 
+namespace {
+
+// Indexed by EventType.
+constexpr const char* kEventTypeNames[] = {
+    "none",      "span_begin", "span_end", "batch",  "determined",
+    "approx_round", "heartbeat", "serve", "stall", "custom",
+    "pool_chunk", "pool_invocation"};
+constexpr std::size_t kEventTypes =
+    sizeof(kEventTypeNames) / sizeof(kEventTypeNames[0]);
+
+}  // namespace
+
 const char* EventTypeName(EventType type) {
-  switch (type) {
-    case EventType::kNone:
-      return "none";
-    case EventType::kSpanBegin:
-      return "span_begin";
-    case EventType::kSpanEnd:
-      return "span_end";
-    case EventType::kBatch:
-      return "batch";
-    case EventType::kDetermined:
-      return "determined";
-    case EventType::kApproxRound:
-      return "approx_round";
-    case EventType::kHeartbeat:
-      return "heartbeat";
-    case EventType::kServe:
-      return "serve";
-    case EventType::kStall:
-      return "stall";
-    case EventType::kCustom:
-      return "custom";
-  }
-  return "unknown";
+  const auto index = static_cast<std::size_t>(type);
+  return index < kEventTypes ? kEventTypeNames[index] : "unknown";
 }
 
 EventType EventTypeFromName(const std::string& name) {
-  for (std::uint16_t i = 0;
-       i <= static_cast<std::uint16_t>(EventType::kCustom); ++i) {
-    const auto type = static_cast<EventType>(i);
-    if (name == EventTypeName(type)) return type;
+  for (std::size_t i = 0; i < kEventTypes; ++i) {
+    if (name == kEventTypeNames[i]) return static_cast<EventType>(i);
   }
   return EventType::kNone;
 }
@@ -50,97 +40,162 @@ namespace {
 
 constexpr std::size_t kMaxRings = 512;
 
-// Registry of every ring ever created. Slots are claimed with a single
-// fetch_add and published with a release store so the crash handler can
-// iterate [0, g_ring_count) without locks.
-ThreadRing* g_ring_slots[kMaxRings] = {nullptr};
+// One seqlock slot: `seq` is 2*s+1 while event s is being written and
+// 2*s+2 once it is published. Payload fields are atomics so that
+// cross-thread reads are race-free. The writer stores them with
+// release and the reader loads them with acquire (plain moves on
+// x86): a reader that sees any payload word of a newer event also sees
+// that event's odd `seq`, so the re-check after the copy rejects it.
+// Only the first `args` arguments are written (instants carry two,
+// span ends one); readers zero the rest, which keeps the record path of
+// the common events short.
+struct Slot {
+  std::atomic<std::uint64_t> seq{0};
+  std::atomic<std::uint64_t> t_ns{0};
+  std::atomic<const char*> name{""};
+  std::atomic<std::uint32_t> meta{0};  // type | caller << 16 | args << 24
+  std::atomic<std::uint64_t> arg[RingEvent::kArgs] = {};
+};
+
+struct ThreadRing {
+  // Events ever appended; event s lives in slots[s % kRingCapacity].
+  std::atomic<std::uint64_t> head{0};
+  // Reset() raises this to head; readers see [base, head) only.
+  std::atomic<std::uint64_t> base{0};
+  int slot = 0;
+  int tid = 0;
+  Slot slots[kRingCapacity];
+};
+
+// Registry of every ring ever created. Slots are claimed under the
+// mutex (first record per thread only) and published with a release
+// store so readers iterate [0, g_ring_count) without locks.
+ThreadRing* g_rings[kMaxRings] = {nullptr};
 std::atomic<std::size_t> g_ring_count{0};
-
-std::atomic<std::size_t> g_ring_capacity{1024};
-
-// Serializes ring creation only (first record per thread) — never on
-// the steady-state record path.
 std::mutex g_create_mutex;
 
-std::size_t RoundUpPow2(std::size_t v) {
-  std::size_t p = 16;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 ThreadRing* CreateRing() {
-  const std::size_t cap =
-      RoundUpPow2(g_ring_capacity.load(std::memory_order_relaxed));
   auto* ring = new ThreadRing();
-  ring->capacity = static_cast<std::uint32_t>(cap);
-  ring->mask = static_cast<std::uint32_t>(cap - 1);
   ring->tid = SigsafeTid();
-  ring->events = new FlightEvent[cap]();
-
   std::lock_guard<std::mutex> lock(g_create_mutex);
   const std::size_t idx = g_ring_count.load(std::memory_order_relaxed);
-  if (idx >= kMaxRings) {
-    // Registry full: the ring still records for its own thread but will
-    // not appear in dumps. 512 threads is far beyond the pool sizes the
-    // system runs with, so this is a safety valve, not a real path.
-    return ring;
-  }
-  g_ring_slots[idx] = ring;
+  // Registry full: the ring still records for its own thread but no
+  // reader sees it. 512 threads is far beyond the pool sizes the
+  // system runs with, so this is a safety valve, not a real path.
+  if (idx >= kMaxRings) return ring;
+  ring->slot = static_cast<int>(idx);
+  g_rings[idx] = ring;
   g_ring_count.store(idx + 1, std::memory_order_release);
   return ring;
 }
 
-ThreadRing* ThisThreadRing() {
-  static thread_local ThreadRing* t_ring = nullptr;
-  if (t_ring == nullptr) t_ring = CreateRing();
-  return t_ring;
+ThreadRing& ThisThreadRing() {
+  static thread_local ThreadRing* t_ring = CreateRing();
+  return *t_ring;
+}
+
+// Copies event `s` out of `ring` into `out`; false when the slot no
+// longer (or not yet) holds it.
+bool ReadSlot(const ThreadRing& ring, std::uint64_t s, RingEvent* out) {
+  const Slot& slot = ring.slots[s % kRingCapacity];
+  const std::uint64_t want = 2 * s + 2;
+  if (slot.seq.load(std::memory_order_acquire) != want) return false;
+  constexpr auto kAcquire = std::memory_order_acquire;
+  out->seq = s;
+  out->t_ns = slot.t_ns.load(kAcquire);
+  out->name = slot.name.load(kAcquire);
+  const std::uint32_t meta = slot.meta.load(kAcquire);
+  out->type = static_cast<EventType>(meta & 0xffff);
+  out->caller = (meta >> 16 & 1) != 0;
+  const std::size_t args = meta >> 24;
+  for (std::size_t i = 0; i < RingEvent::kArgs; ++i) {
+    out->arg[i] = i < args ? slot.arg[i].load(kAcquire) : 0;
+  }
+  // Re-validate: an overwrite racing the loads above has bumped seq.
+  return slot.seq.load(kAcquire) == want;
+}
+
+// Inlined into both entry points so RecordSlow's event never touches
+// the stack.
+[[gnu::always_inline]] inline void AppendInline(const RingEvent& event,
+                                               std::size_t args) {
+  ThreadRing& ring = ThisThreadRing();
+  const std::uint64_t s = ring.head.load(std::memory_order_relaxed);
+  Slot& slot = ring.slots[s % kRingCapacity];
+  constexpr auto kRelease = std::memory_order_release;
+  slot.seq.store(2 * s + 1, std::memory_order_relaxed);
+  slot.t_ns.store(event.t_ns, kRelease);
+  slot.name.store(event.name != nullptr ? event.name : "", kRelease);
+  slot.meta.store(static_cast<std::uint32_t>(event.type) |
+                      (event.caller ? 1u << 16 : 0u) |
+                      static_cast<std::uint32_t>(args) << 24,
+                  kRelease);
+  for (std::size_t i = 0; i < args; ++i) {
+    slot.arg[i].store(event.arg[i], kRelease);
+  }
+  slot.seq.store(2 * s + 2, kRelease);
+  ring.head.store(s + 1, kRelease);
 }
 
 }  // namespace
 
+void Append(const RingEvent& event, std::size_t args) {
+  AppendInline(event, args < RingEvent::kArgs ? args : RingEvent::kArgs);
+}
+
 void RecordSlow(EventType type, const char* name, std::uint64_t arg0,
                 std::uint64_t arg1) {
-  ThreadRing* ring = ThisThreadRing();
-  const std::uint64_t seq = ring->head.load(std::memory_order_relaxed);
-  FlightEvent& slot = ring->events[seq & ring->mask];
-  slot.t_ns = SigsafeNowNs();
-  slot.seq = seq;
-  slot.arg0 = arg0;
-  slot.arg1 = arg1;
-  slot.type = type;
-  if (name != nullptr) {
-    std::size_t i = 0;
-    for (; i < sizeof(slot.name) - 1 && name[i] != '\0'; ++i) {
-      slot.name[i] = name[i];
-    }
-    slot.name[i] = '\0';
-  } else {
-    slot.name[0] = '\0';
-  }
-  // Publish: a reader that observes head > seq sees the full slot.
-  ring->head.store(seq + 1, std::memory_order_release);
+  AppendInline({.t_ns = SigsafeNowNs(),
+                .name = name,
+                .type = type,
+                .arg = {arg0, arg1}},
+               2);
 }
 
 }  // namespace internal
 
-void FlightRecorder::Enable(std::size_t ring_capacity) {
-  if (ring_capacity < 16) ring_capacity = 16;
-  internal::g_ring_capacity.store(ring_capacity, std::memory_order_relaxed);
+std::uint64_t ReadRings(RingVisitor& visitor) {
+  std::uint64_t dropped = 0;
+  const std::size_t n = internal::g_ring_count.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < n; ++i) {
+    const internal::ThreadRing& ring = *internal::g_rings[i];
+    const std::uint64_t head = ring.head.load(std::memory_order_acquire);
+    std::uint64_t first = ring.base.load(std::memory_order_acquire);
+    if (first > head) first = head;
+    visitor.Thread(ring.slot, ring.tid, head - first);
+    if (head - first > kRingCapacity) {
+      dropped += head - kRingCapacity - first;
+      first = head - kRingCapacity;
+    }
+    RingEvent event;
+    for (std::uint64_t s = first; s < head; ++s) {
+      if (internal::ReadSlot(ring, s, &event)) {
+        visitor.Event(event);
+      } else {
+        ++dropped;
+      }
+    }
+  }
+  return dropped;
+}
+
+void FlightRecorder::Enable() {
   internal::g_flight_enabled.store(true, std::memory_order_release);
+  SetPoolObserver(&PoolStatsCollector::Global());
 }
 
 void FlightRecorder::Disable() {
   internal::g_flight_enabled.store(false, std::memory_order_release);
+  PoolObserver* const collector = &PoolStatsCollector::Global();
+  if (GetPoolObserver() == collector) SetPoolObserver(nullptr);
 }
 
-void FlightRecorder::ResetForTest() {
-  std::lock_guard<std::mutex> lock(internal::g_create_mutex);
+void FlightRecorder::Reset() {
   const std::size_t n = internal::g_ring_count.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < n; ++i) {
-    internal::ThreadRing* ring = internal::g_ring_slots[i];
-    std::memset(static_cast<void*>(ring->events), 0,
-                sizeof(FlightEvent) * ring->capacity);
-    ring->head.store(0, std::memory_order_release);
+    internal::ThreadRing& ring = *internal::g_rings[i];
+    ring.base.store(ring.head.load(std::memory_order_acquire),
+                    std::memory_order_release);
   }
 }
 
@@ -148,56 +203,37 @@ std::uint64_t FlightRecorder::TotalRecorded() {
   std::uint64_t total = 0;
   const std::size_t n = internal::g_ring_count.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < n; ++i) {
-    total += internal::g_ring_slots[i]->head.load(std::memory_order_acquire);
+    const internal::ThreadRing& ring = *internal::g_rings[i];
+    const std::uint64_t head = ring.head.load(std::memory_order_acquire);
+    const std::uint64_t base = ring.base.load(std::memory_order_acquire);
+    total += head > base ? head - base : 0;
   }
   return total;
 }
 
 std::vector<FlightRecorder::ThreadEvents> FlightRecorder::Snapshot() {
-  std::vector<ThreadEvents> out;
-  const std::size_t n = internal::g_ring_count.load(std::memory_order_acquire);
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const internal::ThreadRing* ring = internal::g_ring_slots[i];
-    ThreadEvents te;
-    te.tid = ring->tid;
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    te.recorded = head;
-    if (head == 0) {
-      out.push_back(std::move(te));
-      continue;
+  struct Copier : RingVisitor {
+    std::vector<ThreadEvents> threads;
+    void Thread(int, int tid, std::uint64_t recorded) override {
+      threads.push_back({tid, recorded, {}});
     }
-    // The slot at `head` may be mid-write by its owner; everything in
-    // [start, head) was published with release stores before we read
-    // head with acquire, so those slots are stable (the owner only
-    // rewrites a slot after advancing head past it by `capacity`, and
-    // we re-check head afterwards to drop any such overwrites).
-    std::uint64_t start = head > ring->capacity ? head - ring->capacity : 0;
-    std::vector<FlightEvent> events;
-    events.reserve(static_cast<std::size_t>(head - start));
-    for (std::uint64_t s = start; s < head; ++s) {
-      events.push_back(ring->events[s & ring->mask]);
+    void Event(const RingEvent& event) override {
+      FlightEvent copy;
+      copy.t_ns = event.t_ns;
+      copy.seq = event.seq;
+      copy.arg0 = event.arg[0];
+      copy.arg1 = event.arg[1];
+      copy.type = event.type;
+      std::size_t i = 0;
+      for (; i + 1 < sizeof(copy.name) && event.name[i] != '\0'; ++i) {
+        copy.name[i] = event.name[i];
+      }
+      copy.name[i] = '\0';
+      threads.back().events.push_back(copy);
     }
-    // Slots overwritten while we copied belong to sequences >= head2 -
-    // capacity; drop copies whose recorded seq no longer matches.
-    const std::uint64_t head2 = ring->head.load(std::memory_order_acquire);
-    const std::uint64_t valid_from =
-        head2 > ring->capacity ? head2 - ring->capacity : 0;
-    for (std::uint64_t s = start; s < head; ++s) {
-      FlightEvent& ev = events[static_cast<std::size_t>(s - start)];
-      if (s >= valid_from && ev.seq == s) te.events.push_back(ev);
-    }
-    out.push_back(std::move(te));
-  }
-  return out;
-}
-
-std::size_t FlightRecorder::RawRings(const internal::ThreadRing** out,
-                                     std::size_t max) {
-  const std::size_t n = internal::g_ring_count.load(std::memory_order_acquire);
-  const std::size_t count = n < max ? n : max;
-  for (std::size_t i = 0; i < count; ++i) out[i] = internal::g_ring_slots[i];
-  return count;
+  } copier;
+  ReadRings(copier);
+  return std::move(copier.threads);
 }
 
 }  // namespace dd::obs::diag

@@ -36,8 +36,10 @@ namespace {
 constexpr std::size_t kMaxHeartbeats = 64;
 
 // Registry mirrors the flight-recorder ring registry: slots published
-// with a release store so dump writers iterate without locks.
-Heartbeat* g_beat_slots[kMaxHeartbeats] = {nullptr};
+// with a release store so dump writers iterate without locks. The
+// heartbeats themselves are static storage, so a stall event naming
+// one (flight recorder) never points into the heap.
+Heartbeat g_beats[kMaxHeartbeats];
 std::atomic<std::size_t> g_beat_count{0};
 std::mutex g_register_mutex;
 
@@ -66,7 +68,7 @@ void CheckHeartbeats(WatchdogState& state) {
       static_cast<std::uint64_t>(state.stall_timeout_ms) * 1000000ULL;
   const std::size_t n = g_beat_count.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < n; ++i) {
-    Heartbeat* hb = g_beat_slots[i];
+    Heartbeat* hb = &g_beats[i];
     if (hb->armed.load(std::memory_order_acquire) <= 0) continue;
     if (hb->in_stall.load(std::memory_order_relaxed)) continue;
     const std::uint64_t last = hb->last_beat_ns.load(std::memory_order_relaxed);
@@ -115,28 +117,24 @@ Heartbeat* RegisterHeartbeat(const char* name) {
   std::lock_guard<std::mutex> lock(g_register_mutex);
   const std::size_t n = g_beat_count.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < n; ++i) {
-    if (std::strncmp(g_beat_slots[i]->name, name,
-                     sizeof(g_beat_slots[i]->name)) == 0) {
-      return g_beat_slots[i];
+    if (std::strncmp(g_beats[i].name, name, sizeof(g_beats[i].name)) == 0) {
+      return &g_beats[i];
     }
-  }
-  auto* hb = new Heartbeat();
-  std::strncpy(hb->name, name, sizeof(hb->name) - 1);
-  hb->name[sizeof(hb->name) - 1] = '\0';
-  if (n < kMaxHeartbeats) {
-    g_beat_slots[n] = hb;
-    g_beat_count.store(n + 1, std::memory_order_release);
   }
   // Registry overflow: the heartbeat works but is invisible to the
   // watchdog/dumps; with 64 slots and a handful of fixed names this
   // does not happen in practice.
+  Heartbeat* hb = n < kMaxHeartbeats ? &g_beats[n] : new Heartbeat();
+  std::strncpy(hb->name, name, sizeof(hb->name) - 1);
+  hb->name[sizeof(hb->name) - 1] = '\0';
+  if (n < kMaxHeartbeats) g_beat_count.store(n + 1, std::memory_order_release);
   return hb;
 }
 
 std::size_t RawHeartbeats(const Heartbeat** out, std::size_t max) {
   const std::size_t n = g_beat_count.load(std::memory_order_acquire);
   const std::size_t count = n < max ? n : max;
-  for (std::size_t i = 0; i < count; ++i) out[i] = g_beat_slots[i];
+  for (std::size_t i = 0; i < count; ++i) out[i] = &g_beats[i];
   return count;
 }
 

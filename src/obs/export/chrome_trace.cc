@@ -1,145 +1,131 @@
 #include "obs/export/chrome_trace.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <map>
+#include <limits>
+#include <vector>
 
 #include "common/string_util.h"
+#include "obs/diag/flight_recorder.h"
 #include "obs/json_util.h"
 
 namespace dd::obs {
 
 namespace {
 
+using diag::EventType;
+using diag::RingEvent;
+
 constexpr int kPid = 1;
 
-// Worker-slot tracks live far above the per-root synthetic tracks so
-// the two tid ranges can never collide.
-constexpr int kWorkerTidBase = 1000;
+struct ThreadTrack {
+  int slot = 0;
+  int tid = 0;
+  std::vector<RingEvent> events;
+};
 
-void AppendEvent(const SpanStats& span, int tid, double ts_us, bool* first,
+struct TrackCollector : diag::RingVisitor {
+  std::vector<ThreadTrack> tracks;
+  void Thread(int slot, int tid, std::uint64_t) override {
+    tracks.push_back({slot, tid, {}});
+  }
+  void Event(const RingEvent& event) override {
+    if (event.type != EventType::kSpanBegin) {
+      tracks.back().events.push_back(event);
+    }
+  }
+};
+
+bool IsInterval(const RingEvent& event) {
+  return event.type == EventType::kSpanEnd ||
+         event.type == EventType::kPoolChunk ||
+         event.type == EventType::kPoolInvocation;
+}
+
+// Start of the interval an event covers: span ends carry their elapsed
+// time, pool events their start; instants are points.
+std::uint64_t StartNs(const RingEvent& event) {
+  if (event.type == EventType::kSpanEnd) return event.t_ns - event.arg[0];
+  return IsInterval(event) ? event.arg[0] : event.t_ns;
+}
+
+void AppendEvent(const RingEvent& event, int tid, std::uint64_t t0,
                  std::string* out) {
-  if (!*first) *out += ",";
-  *first = false;
-  *out += StrFormat(
-      "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
-      "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"count\":%llu,"
-      "\"self_ms\":%.6f}}",
-      JsonEscape(span.name).c_str(), kPid, tid, ts_us, span.total_seconds * 1e6,
-      static_cast<unsigned long long>(span.count),
-      span.self_seconds * 1e3);
-  // Children occupy consecutive sub-intervals starting at the parent's
-  // ts; their summed duration never exceeds the parent's (self time
-  // fills the tail), so the events nest.
-  double cursor = ts_us;
-  for (const SpanStats& child : span.children) {
-    AppendEvent(child, tid, cursor, first, out);
-    cursor += child.total_seconds * 1e6;
+  const std::string name = JsonEscape(
+      event.name[0] != '\0' ? event.name : diag::EventTypeName(event.type));
+  const double ts_us = static_cast<double>(StartNs(event) - t0) * 1e-3;
+  const double dur_us =
+      static_cast<double>(event.t_ns - StartNs(event)) * 1e-3;
+  std::string args;
+  switch (event.type) {
+    case EventType::kSpanEnd:
+      break;
+    case EventType::kPoolChunk:
+      args = StrFormat(
+          "\"invocation\":%llu,\"chunk\":%llu,\"begin\":%llu,\"end\":%llu,"
+          "\"cpu_us\":%.3f,\"caller\":%s",
+          static_cast<unsigned long long>(event.arg[1]),
+          static_cast<unsigned long long>(event.arg[2]),
+          static_cast<unsigned long long>(event.arg[3]),
+          static_cast<unsigned long long>(event.arg[4]),
+          static_cast<double>(event.arg[5]) * 1e-3,
+          event.caller ? "true" : "false");
+      break;
+    case EventType::kPoolInvocation:
+      args = StrFormat(
+          "\"invocation\":%llu,\"chunks\":%llu,\"count\":%llu,"
+          "\"threads\":%llu",
+          static_cast<unsigned long long>(event.arg[1]),
+          static_cast<unsigned long long>(event.arg[2]),
+          static_cast<unsigned long long>(event.arg[3]),
+          static_cast<unsigned long long>(event.arg[4]));
+      break;
+    default:
+      args = StrFormat("\"arg0\":%llu,\"arg1\":%llu",
+                       static_cast<unsigned long long>(event.arg[0]),
+                       static_cast<unsigned long long>(event.arg[1]));
+      break;
   }
-}
-
-void AppendMetadata(const char* name, int tid, const std::string& value,
-                    bool* first, std::string* out) {
-  if (!*first) *out += ",";
-  *first = false;
   *out += StrFormat(
-      "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
-      "\"args\":{\"name\":\"%s\"}}",
-      name, kPid, tid, JsonEscape(value).c_str());
+      ",{\"name\":\"%s\",\"cat\":\"%s\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,",
+      name.c_str(), diag::EventTypeName(event.type), kPid, tid, ts_us);
+  *out += IsInterval(event)
+              ? StrFormat("\"ph\":\"X\",\"dur\":%.3f", dur_us)
+              : std::string("\"ph\":\"i\",\"s\":\"t\"");
+  *out += ",\"args\":{" + args + "}}";
 }
 
 }  // namespace
 
-std::string TraceSnapshotToChromeTrace(const TraceSnapshot& trace) {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  AppendMetadata("process_name", 0, "ddthreshold", &first, &out);
-  // One synthetic track per root: main-thread phases are distinct
-  // roots and worker-thread spans (no enclosing scope) are roots too.
-  for (std::size_t r = 0; r < trace.roots.size(); ++r) {
-    const int tid = static_cast<int>(r) + 1;
-    AppendMetadata("thread_name", tid, trace.roots[r].name, &first, &out);
-    AppendEvent(trace.roots[r], tid, /*ts_us=*/0.0, &first, &out);
+std::string ChromeTraceJson() {
+  TrackCollector collector;
+  const std::uint64_t dropped = diag::ReadRings(collector);
+  std::uint64_t t0 = std::numeric_limits<std::uint64_t>::max();
+  for (const ThreadTrack& track : collector.tracks) {
+    for (const RingEvent& event : track.events) {
+      t0 = std::min(t0, StartNs(event));
+    }
   }
-  out += "]}";
-  return out;
-}
-
-std::string TraceSnapshotToChromeTrace(const TraceSnapshot& trace,
-                                       const PoolStatsSnapshot& pool) {
-  if (pool.empty() || pool.timeline.empty()) {
-    return TraceSnapshotToChromeTrace(trace);
-  }
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  AppendMetadata("process_name", 0, "ddthreshold", &first, &out);
-  for (std::size_t r = 0; r < trace.roots.size(); ++r) {
-    const int tid = static_cast<int>(r) + 1;
-    AppendMetadata("thread_name", tid, trace.roots[r].name, &first, &out);
-    AppendEvent(trace.roots[r], tid, /*ts_us=*/0.0, &first, &out);
-  }
-  // Real per-worker tracks: chunk events at measured timestamps,
-  // rebased so the earliest chunk starts at t=0. The slot that acted
-  // as a ParallelFor caller is labeled as such — caller participation
-  // is visible as gaps between its chunks (it was claiming / waiting).
-  std::uint64_t t0 = pool.timeline.front().start_ns;
-  for (const PoolChunkRecord& record : pool.timeline) {
-    t0 = std::min(t0, record.start_ns);
-  }
-  std::map<int, bool> slot_was_caller;
-  for (const PoolChunkRecord& record : pool.timeline) {
-    slot_was_caller[record.slot] =
-        slot_was_caller[record.slot] || record.caller;
-  }
-  for (const auto& [slot, was_caller] : slot_was_caller) {
-    const std::string label =
-        was_caller ? StrFormat("pool slot %d (caller)", slot)
-                   : StrFormat("pool slot %d (worker)", slot);
-    AppendMetadata("thread_name", kWorkerTidBase + slot, label, &first, &out);
-  }
-  for (const PoolChunkRecord& record : pool.timeline) {
-    if (!first) out += ",";
-    first = false;
-    const char* name = record.phase.empty() ? "parallel_for" : record.phase.c_str();
+  std::string out = StrFormat(
+      "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":%llu},"
+      "\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
+      "\"tid\":0,\"args\":{\"name\":\"ddthreshold\"}}",
+      static_cast<unsigned long long>(dropped), kPid);
+  for (const ThreadTrack& track : collector.tracks) {
+    if (track.events.empty()) continue;
     out += StrFormat(
-        "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
-        "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"invocation\":%llu,"
-        "\"chunk\":%zu,\"begin\":%zu,\"end\":%zu,\"caller\":%s}}",
-        JsonEscape(name).c_str(), kPid, kWorkerTidBase + record.slot,
-        static_cast<double>(record.start_ns - t0) * 1e-3,
-        static_cast<double>(record.end_ns - record.start_ns) * 1e-3,
-        static_cast<unsigned long long>(record.invocation), record.chunk,
-        record.begin, record.end, record.caller ? "true" : "false");
+        ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
+        "\"args\":{\"name\":\"thread %d\"}}",
+        kPid, track.tid, track.slot);
+    for (const RingEvent& event : track.events) {
+      AppendEvent(event, track.tid, t0, &out);
+    }
   }
   out += "]}";
   return out;
 }
 
-namespace {
-
-Status WriteJsonFile(const std::string& json, const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  const bool newline = std::fputc('\n', file) != EOF;
-  if (std::fclose(file) != 0 || written != json.size() || !newline) {
-    return Status::IoError("short write to " + path);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status WriteChromeTrace(const TraceSnapshot& trace, const std::string& path) {
-  return WriteJsonFile(TraceSnapshotToChromeTrace(trace), path);
-}
-
-Status WriteChromeTrace(const TraceSnapshot& trace,
-                        const PoolStatsSnapshot& pool,
-                        const std::string& path) {
-  return WriteJsonFile(TraceSnapshotToChromeTrace(trace, pool), path);
+Status WriteChromeTrace(const std::string& path) {
+  return WriteJsonFile(ChromeTraceJson(), path);
 }
 
 }  // namespace dd::obs

@@ -1,22 +1,21 @@
-// Chrome trace-event JSON exporter: renders the aggregating span tree
-// as a {"traceEvents":[...]} document loadable by Perfetto and
-// chrome://tracing. The tracer aggregates repeated scopes into one
-// node (count + total time) rather than recording individual events,
-// so the export synthesizes a timeline: every node becomes one
-// complete ("ph":"X") event whose dur is the node's total wall time,
-// children laid out back to back inside their parent's interval.
-// Each root span gets its own tid track — worker-thread spans from
-// common/parallel.h surface as roots, so parallel phases land on
-// separate tracks. The aggregated call count and self time ride along
-// in the event's args.
-//
-// When a pool-stats snapshot (obs/pool_stats.h) is supplied, pooled
-// phases additionally get REAL per-worker tracks: one tid per pool
-// thread slot, one event per executed chunk at its measured steady-
-// clock timestamps. These replace the synthesized one-track-per-root
-// view as the source of truth for pooled work — the span tracks keep
-// the aggregate totals, the worker tracks show who actually ran what,
-// when, and how the chunks interleaved.
+// Chrome trace-event JSON exporter: renders the flight recorder's
+// per-thread event rings (obs/diag/flight_recorder.h) as a
+// {"traceEvents":[...]} document loadable by Perfetto and
+// chrome://tracing. Every thread that recorded gets its own track (tid
+// = its OS thread id), and every event sits at its measured timestamp,
+// rebased so the earliest event starts at t=0:
+//   * each finished TraceSpan is one complete ("ph":"X") event from its
+//     real begin to its real end, so nested spans nest in time;
+//   * each pool chunk is an "X" event named by its phase on the thread
+//     that ran it, with the invocation, chunk, item range and thread-CPU
+//     time in args; each whole ParallelFor is an "X" event on the
+//     calling thread;
+//   * instants (batches, determinations, approx rounds, serve progress,
+//     stalls) are thread-scoped "ph":"i" events.
+// Events the rings lost to wrap-around are reported as
+// "otherData":{"dropped_events":N}. Spans still open when the document
+// is rendered are not drawn. The aggregated span tree stays in the run
+// report (obs/report.h).
 
 #ifndef DD_OBS_EXPORT_CHROME_TRACE_H_
 #define DD_OBS_EXPORT_CHROME_TRACE_H_
@@ -24,26 +23,15 @@
 #include <string>
 
 #include "common/status.h"
-#include "obs/pool_stats.h"
-#include "obs/trace.h"
 
 namespace dd::obs {
 
-// Renders the snapshot as a complete Chrome trace JSON document.
-std::string TraceSnapshotToChromeTrace(const TraceSnapshot& trace);
+// Renders the current ring contents as a complete Chrome trace JSON
+// document. Normal context only (allocates).
+std::string ChromeTraceJson();
 
-// As above, plus one real track per pool worker slot built from the
-// chunk timeline (no-op when `pool` is empty).
-std::string TraceSnapshotToChromeTrace(const TraceSnapshot& trace,
-                                       const PoolStatsSnapshot& pool);
-
-// Writes TraceSnapshotToChromeTrace(trace) into `path` (overwrites).
-Status WriteChromeTrace(const TraceSnapshot& trace, const std::string& path);
-
-// Pool-aware overload of WriteChromeTrace.
-Status WriteChromeTrace(const TraceSnapshot& trace,
-                        const PoolStatsSnapshot& pool,
-                        const std::string& path);
+// Writes ChromeTraceJson() into `path` (overwrites).
+Status WriteChromeTrace(const std::string& path);
 
 }  // namespace dd::obs
 

@@ -1,13 +1,15 @@
 // JSON string escaping shared by the obs exporters (run reports,
 // Chrome traces, sampler frames). Same rules as core/result_io's
 // JsonEscape; kept here so obs stays below core in the dependency
-// order.
+// order. Also the one file writer for the exporters' JSON documents.
 
 #ifndef DD_OBS_JSON_UTIL_H_
 #define DD_OBS_JSON_UTIL_H_
 
+#include <cstdio>
 #include <string>
 
+#include "common/status.h"
 #include "common/string_util.h"
 
 namespace dd::obs {
@@ -41,6 +43,20 @@ inline std::string JsonEscape(const std::string& text) {
     }
   }
   return out;
+}
+
+// Writes `json` plus a trailing newline into `path` (overwrites).
+inline Status WriteJsonFile(const std::string& json, const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (file == nullptr) {
+    return Status::IoError("cannot open " + path + " for writing");
+  }
+  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
+  const bool newline = std::fputc('\n', file) != EOF;
+  if (std::fclose(file) != 0 || written != json.size() || !newline) {
+    return Status::IoError("short write to " + path);
+  }
+  return Status::Ok();
 }
 
 }  // namespace dd::obs

@@ -1,120 +1,13 @@
 #include "obs/pool_stats.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/diag/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace dd::obs {
-
-namespace {
-
-// Per-thread ring capacity. Chunk events on the hot paths are bounded
-// by chunks-per-invocation (≤ threads), so even long determinations
-// stay well under this; overflow is tolerated and counted.
-constexpr std::size_t kRingCapacity = 1 << 14;
-
-// One seqlock-protected ring entry. The owning thread is the only
-// writer; Snapshot() readers validate `seq` (2*index + 2 when entry
-// `index` is published) before and after reading the payload, so a
-// concurrent overwrite is detected and the entry skipped. All payload
-// fields are relaxed atomics purely so cross-thread reads are
-// race-free; ordering comes from `seq`.
-struct EventSlot {
-  std::atomic<std::uint64_t> seq{0};
-  std::atomic<const char*> phase{""};
-  std::atomic<std::uint64_t> invocation{0};
-  // Chunk events: a = chunk index, b = begin, c = end.
-  // Invocation events: a = chunks, b = count, c = threads.
-  std::atomic<std::uint64_t> a{0};
-  std::atomic<std::uint64_t> b{0};
-  std::atomic<std::uint64_t> c{0};
-  std::atomic<std::uint64_t> start_ns{0};
-  std::atomic<std::uint64_t> end_ns{0};
-  std::atomic<std::uint32_t> flags{0};  // bit0 caller, bit1 invocation
-};
-
-constexpr std::uint32_t kFlagCaller = 1u;
-constexpr std::uint32_t kFlagInvocation = 2u;
-
-struct ThreadBuffer {
-  explicit ThreadBuffer(int slot_index)
-      : slot(slot_index), ring(kRingCapacity) {}
-
-  const int slot;
-  // Monotonic count of events ever appended; entry i lives at
-  // ring[i % kRingCapacity] until overwritten.
-  std::atomic<std::uint64_t> head{0};
-  // Reset() raises this to `head`; Snapshot reads [base, head) only.
-  std::atomic<std::uint64_t> base{0};
-  std::vector<EventSlot> ring;
-
-  void Append(const char* phase, std::uint64_t invocation, std::uint64_t a,
-              std::uint64_t b, std::uint64_t c, std::uint64_t start_ns,
-              std::uint64_t end_ns, std::uint32_t flags) {
-    const std::uint64_t h = head.load(std::memory_order_relaxed);
-    EventSlot& slot_ref = ring[h % kRingCapacity];
-    slot_ref.seq.store(2 * h + 1, std::memory_order_release);
-    slot_ref.phase.store(phase, std::memory_order_relaxed);
-    slot_ref.invocation.store(invocation, std::memory_order_relaxed);
-    slot_ref.a.store(a, std::memory_order_relaxed);
-    slot_ref.b.store(b, std::memory_order_relaxed);
-    slot_ref.c.store(c, std::memory_order_relaxed);
-    slot_ref.start_ns.store(start_ns, std::memory_order_relaxed);
-    slot_ref.end_ns.store(end_ns, std::memory_order_relaxed);
-    slot_ref.flags.store(flags, std::memory_order_relaxed);
-    slot_ref.seq.store(2 * h + 2, std::memory_order_release);
-    head.store(h + 1, std::memory_order_release);
-  }
-};
-
-// Registration list: appended on a thread's first recorded event, kept
-// alive for the process so Snapshot() can still read rings of exited
-// workers. The mutex guards registration and the list copy only — the
-// event hot path never takes it.
-std::mutex& RegistryMutex() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::vector<std::shared_ptr<ThreadBuffer>>& Buffers() {
-  static auto* buffers = new std::vector<std::shared_ptr<ThreadBuffer>>();
-  return *buffers;
-}
-
-std::atomic<int> g_next_slot{0};
-
-ThreadBuffer& LocalBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-    auto created = std::make_shared<ThreadBuffer>(
-        g_next_slot.fetch_add(1, std::memory_order_relaxed));
-    std::lock_guard<std::mutex> lock(RegistryMutex());
-    Buffers().push_back(created);
-    return created;
-  }();
-  return *buffer;
-}
-
-std::vector<std::shared_ptr<ThreadBuffer>> BufferListCopy() {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  return Buffers();
-}
-
-// Raw event as read back out of a ring.
-struct RawEvent {
-  int slot;
-  const char* phase;
-  std::uint64_t invocation;
-  std::uint64_t a, b, c;
-  std::uint64_t start_ns, end_ns;
-  std::uint32_t flags;
-};
-
-}  // namespace
 
 double PoolPhaseStats::SpeedupBound() const {
   std::uint64_t max_busy = 0;
@@ -144,25 +37,23 @@ PoolStatsCollector& PoolStatsCollector::Global() {
   return *collector;
 }
 
-void PoolStatsCollector::Enable() { SetPoolObserver(this); }
+void PoolStatsCollector::Enable() { diag::FlightRecorder::Enable(); }
 
-void PoolStatsCollector::Disable() {
-  if (GetPoolObserver() == this) SetPoolObserver(nullptr);
+void PoolStatsCollector::Disable() { diag::FlightRecorder::Disable(); }
+
+bool PoolStatsCollector::enabled() const {
+  return diag::FlightRecorderEnabled();
 }
 
-bool PoolStatsCollector::enabled() const { return GetPoolObserver() == this; }
-
-void PoolStatsCollector::Reset() {
-  for (const auto& buffer : BufferListCopy()) {
-    buffer->base.store(buffer->head.load(std::memory_order_acquire),
-                       std::memory_order_release);
-  }
-}
+void PoolStatsCollector::Reset() { diag::FlightRecorder::Reset(); }
 
 void PoolStatsCollector::OnChunk(const PoolChunkEvent& event) {
-  LocalBuffer().Append(event.phase, event.invocation, event.chunk, event.begin,
-                       event.end, event.start_ns, event.end_ns,
-                       event.caller ? kFlagCaller : 0);
+  diag::internal::Append({.t_ns = event.end_ns,
+                          .name = event.phase,
+                          .type = diag::EventType::kPoolChunk,
+                          .caller = event.caller,
+                          .arg = {event.start_ns, event.invocation, event.chunk,
+                                  event.begin, event.end, event.cpu_ns}});
   static Counter& chunks = MetricsRegistry::Global().GetCounter("pool.chunks");
   static Counter& items = MetricsRegistry::Global().GetCounter("pool.items");
   static Counter& busy = MetricsRegistry::Global().GetCounter("pool.busy_ns");
@@ -172,9 +63,12 @@ void PoolStatsCollector::OnChunk(const PoolChunkEvent& event) {
 }
 
 void PoolStatsCollector::OnInvocation(const PoolInvocationEvent& event) {
-  LocalBuffer().Append(event.phase, event.invocation, event.chunks,
-                       event.count, event.threads, event.start_ns,
-                       event.end_ns, kFlagInvocation);
+  diag::internal::Append({.t_ns = event.end_ns,
+                          .name = event.phase,
+                          .type = diag::EventType::kPoolInvocation,
+                          .arg = {event.start_ns, event.invocation,
+                                  event.chunks, event.count, event.threads}},
+                         /*args=*/5);
   static Counter& invocations =
       MetricsRegistry::Global().GetCounter("pool.invocations");
   static Counter& wall = MetricsRegistry::Global().GetCounter("pool.wall_ns");
@@ -182,47 +76,34 @@ void PoolStatsCollector::OnInvocation(const PoolInvocationEvent& event) {
   wall.Add(event.end_ns - event.start_ns);
 }
 
-PoolStatsSnapshot PoolStatsCollector::Snapshot() const {
-  PoolStatsSnapshot snapshot;
+namespace {
+
+// A pool event read back from a ring, tagged with the ring's slot.
+struct RawEvent {
+  int slot;
+  diag::RingEvent event;
+};
+
+struct PoolEventCollector : diag::RingVisitor {
+  int slot = 0;
   std::vector<RawEvent> chunks;
   std::vector<RawEvent> invocations;
-  for (const auto& buffer : BufferListCopy()) {
-    const std::uint64_t head = buffer->head.load(std::memory_order_acquire);
-    const std::uint64_t base = buffer->base.load(std::memory_order_acquire);
-    std::uint64_t first = base;
-    if (head > first + kRingCapacity) {
-      snapshot.dropped_events += head - kRingCapacity - first;
-      first = head - kRingCapacity;
-    }
-    for (std::uint64_t i = first; i < head; ++i) {
-      const EventSlot& slot_ref = buffer->ring[i % kRingCapacity];
-      const std::uint64_t want = 2 * i + 2;
-      if (slot_ref.seq.load(std::memory_order_acquire) != want) {
-        ++snapshot.dropped_events;
-        continue;
-      }
-      RawEvent raw;
-      raw.slot = buffer->slot;
-      raw.phase = slot_ref.phase.load(std::memory_order_relaxed);
-      raw.invocation = slot_ref.invocation.load(std::memory_order_relaxed);
-      raw.a = slot_ref.a.load(std::memory_order_relaxed);
-      raw.b = slot_ref.b.load(std::memory_order_relaxed);
-      raw.c = slot_ref.c.load(std::memory_order_relaxed);
-      raw.start_ns = slot_ref.start_ns.load(std::memory_order_relaxed);
-      raw.end_ns = slot_ref.end_ns.load(std::memory_order_relaxed);
-      raw.flags = slot_ref.flags.load(std::memory_order_relaxed);
-      // Re-validate: an overwrite racing the reads above bumps seq.
-      if (slot_ref.seq.load(std::memory_order_acquire) != want) {
-        ++snapshot.dropped_events;
-        continue;
-      }
-      if ((raw.flags & kFlagInvocation) != 0) {
-        invocations.push_back(raw);
-      } else {
-        chunks.push_back(raw);
-      }
+  void Thread(int ring_slot, int, std::uint64_t) override { slot = ring_slot; }
+  void Event(const diag::RingEvent& event) override {
+    if (event.type == diag::EventType::kPoolChunk) {
+      chunks.push_back({slot, event});
+    } else if (event.type == diag::EventType::kPoolInvocation) {
+      invocations.push_back({slot, event});
     }
   }
+};
+
+}  // namespace
+
+PoolStatsSnapshot PoolStatsCollector::Snapshot() const {
+  PoolStatsSnapshot snapshot;
+  PoolEventCollector collected;
+  snapshot.dropped_events = diag::ReadRings(collected);
 
   // Aggregate per phase / per slot; join chunks to invocations for the
   // wait computation (wait = invocation wall − this slot's busy time
@@ -236,42 +117,45 @@ PoolStatsSnapshot PoolStatsCollector::Snapshot() const {
   std::unordered_map<std::uint64_t, std::unordered_map<int, std::uint64_t>>
       busy_by_invocation;
 
-  for (const RawEvent& raw : chunks) {
-    PhaseAgg& agg = phases[raw.phase];
-    const std::uint64_t dur =
-        raw.end_ns > raw.start_ns ? raw.end_ns - raw.start_ns : 0;
+  for (const RawEvent& raw : collected.chunks) {
+    const diag::RingEvent& ev = raw.event;
+    PhaseAgg& agg = phases[ev.name];
+    const std::uint64_t dur = ev.t_ns > ev.arg[0] ? ev.t_ns - ev.arg[0] : 0;
+    const std::uint64_t items = ev.arg[4] - ev.arg[3];
     agg.stats.chunks += 1;
-    agg.stats.items += raw.c - raw.b;
+    agg.stats.items += items;
     agg.stats.busy_ns += dur;
-    if ((raw.flags & kFlagCaller) != 0) agg.stats.caller_busy_ns += dur;
+    agg.stats.cpu_ns += ev.arg[5];
+    if (ev.caller) agg.stats.caller_busy_ns += dur;
     PoolWorkerStats& worker = agg.workers[raw.slot];
     worker.slot = raw.slot;
-    worker.caller = worker.caller || (raw.flags & kFlagCaller) != 0;
+    worker.caller = worker.caller || ev.caller;
     worker.chunks += 1;
-    worker.items += raw.c - raw.b;
+    worker.items += items;
     worker.busy_ns += dur;
-    busy_by_invocation[raw.invocation][raw.slot] += dur;
+    worker.cpu_ns += ev.arg[5];
+    busy_by_invocation[ev.arg[1]][raw.slot] += dur;
 
     PoolChunkRecord record;
-    record.phase = raw.phase;
-    record.invocation = raw.invocation;
+    record.phase = ev.name;
+    record.invocation = ev.arg[1];
     record.slot = raw.slot;
-    record.caller = (raw.flags & kFlagCaller) != 0;
-    record.chunk = static_cast<std::size_t>(raw.a);
-    record.begin = static_cast<std::size_t>(raw.b);
-    record.end = static_cast<std::size_t>(raw.c);
-    record.start_ns = raw.start_ns;
-    record.end_ns = raw.end_ns;
+    record.caller = ev.caller;
+    record.chunk = static_cast<std::size_t>(ev.arg[2]);
+    record.begin = static_cast<std::size_t>(ev.arg[3]);
+    record.end = static_cast<std::size_t>(ev.arg[4]);
+    record.start_ns = ev.arg[0];
+    record.end_ns = ev.t_ns;
     snapshot.timeline.push_back(std::move(record));
   }
 
-  for (const RawEvent& raw : invocations) {
-    PhaseAgg& agg = phases[raw.phase];
-    const std::uint64_t wall =
-        raw.end_ns > raw.start_ns ? raw.end_ns - raw.start_ns : 0;
+  for (const RawEvent& raw : collected.invocations) {
+    const diag::RingEvent& ev = raw.event;
+    PhaseAgg& agg = phases[ev.name];
+    const std::uint64_t wall = ev.t_ns > ev.arg[0] ? ev.t_ns - ev.arg[0] : 0;
     agg.stats.invocations += 1;
     agg.stats.wall_ns += wall;
-    const auto found = busy_by_invocation.find(raw.invocation);
+    const auto found = busy_by_invocation.find(ev.arg[1]);
     if (found == busy_by_invocation.end()) continue;
     for (const auto& [slot, busy] : found->second) {
       PoolWorkerStats& worker = agg.workers[slot];

@@ -1,27 +1,29 @@
 // Worker-pool execution statistics: the obs-side collector behind the
 // dd::PoolObserver hook (common/parallel.h). Every executed chunk and
-// every completed ParallelFor invocation is appended to a lock-free
-// per-thread ring (seqlock entries over relaxed atomics — safe to
-// snapshot from another thread, TSan-clean, and wait-free for the
-// writer). Snapshot() joins chunks back to their invocations and
-// produces, per phase label:
+// every completed ParallelFor invocation is appended to the calling
+// thread's flight-recorder ring (obs/diag/flight_recorder.h), the one
+// per-thread event ring, which is safe to read from other threads
+// while its owner writes. Snapshot() reads the rings, joins chunks back
+// to their invocations and produces, per phase label:
 //   * per-worker chunk counts, item counts, busy and wait nanoseconds
-//     (wait = invocation wall minus that worker's busy time, summed
-//     over the invocations the worker participated in),
+//     (busy = wall time inside chunks; wait = invocation wall minus
+//     that worker's busy time, summed over the invocations the worker
+//     participated in) and thread-CPU nanoseconds inside chunks,
 //   * derived parallel-efficiency figures — the speedup bound
 //     Σbusy / max-worker-busy, the imbalance (max − mean)/max, and the
 //     caller-participation share,
-//   * a chronological chunk timeline for the Chrome trace exporter.
+//   * a chronological chunk timeline.
 //
-// Enabling the collector also feeds live `pool.*` counters in the
-// metrics registry (pool.chunks, pool.items, pool.busy_ns,
-// pool.invocations, pool.wall_ns) so the Prometheus endpoint and the
-// FTDC sampler see pool activity without snapshotting rings.
+// Enabling the collector (the flight recorder's one switch) also feeds
+// live `pool.*` counters in the metrics registry (pool.chunks,
+// pool.items, pool.busy_ns, pool.invocations, pool.wall_ns) so the
+// Prometheus endpoint and the FTDC sampler see pool activity without
+// reading rings.
 //
 // Recording never perturbs the chunk partition: determination output
 // stays byte-identical with the collector on or off (DESIGN.md §12).
-// With the collector disabled, ParallelFor pays one relaxed atomic
-// load per invocation — the same ~1 ns bar as the EXPLAIN recorder.
+// With recording off, ParallelFor pays one relaxed atomic load per
+// invocation — the same ~1 ns bar as the EXPLAIN recorder.
 
 #ifndef DD_OBS_POOL_STATS_H_
 #define DD_OBS_POOL_STATS_H_
@@ -44,8 +46,9 @@ struct PoolWorkerStats {
   bool caller = false;
   std::uint64_t chunks = 0;
   std::uint64_t items = 0;
-  std::uint64_t busy_ns = 0;
+  std::uint64_t busy_ns = 0;  // wall time inside chunks
   std::uint64_t wait_ns = 0;
+  std::uint64_t cpu_ns = 0;   // thread-CPU time inside chunks
 };
 
 struct PoolPhaseStats {
@@ -54,7 +57,8 @@ struct PoolPhaseStats {
   std::uint64_t wall_ns = 0;   // summed invocation wall times
   std::uint64_t chunks = 0;
   std::uint64_t items = 0;
-  std::uint64_t busy_ns = 0;
+  std::uint64_t busy_ns = 0;   // wall time inside chunks
+  std::uint64_t cpu_ns = 0;    // thread-CPU time inside chunks
   std::uint64_t caller_busy_ns = 0;
   std::vector<PoolWorkerStats> workers;  // sorted by slot
 
@@ -68,7 +72,7 @@ struct PoolPhaseStats {
   double CallerShare() const;
 };
 
-// One chunk execution for the timeline view (Chrome trace tracks).
+// One chunk execution in the chronological timeline.
 struct PoolChunkRecord {
   std::string phase;
   std::uint64_t invocation = 0;
@@ -84,7 +88,7 @@ struct PoolChunkRecord {
 struct PoolStatsSnapshot {
   std::vector<PoolPhaseStats> phases;    // sorted by phase name
   std::vector<PoolChunkRecord> timeline;  // sorted by start_ns
-  // Events lost to ring wrap-around (aggregates above cover only the
+  // Ring events lost to wrap-around (aggregates above cover only the
   // retained window when this is non-zero).
   std::uint64_t dropped_events = 0;
 
@@ -95,18 +99,19 @@ class PoolStatsCollector : public PoolObserver {
  public:
   static PoolStatsCollector& Global();
 
-  // Installs the collector as the process pool observer / removes it.
+  // The flight recorder's one switch (FlightRecorder::Enable/Disable),
+  // which installs this collector as the process pool observer.
   // Idempotent. Enable() does not clear previously recorded events;
   // call Reset() for a fresh window.
   void Enable();
   void Disable();
   bool enabled() const;
 
-  // Logically clears every per-thread ring (events already recorded
-  // stop being visible to Snapshot). Safe while enabled.
+  // FlightRecorder::Reset(): events already recorded stop being
+  // visible to Snapshot. Safe while enabled.
   void Reset();
 
-  // Joins the per-thread rings into per-phase aggregates + timeline.
+  // Joins the rings' pool events into per-phase aggregates + timeline.
   PoolStatsSnapshot Snapshot() const;
 
   // dd::PoolObserver — called from pool workers / calling threads.

@@ -429,6 +429,10 @@ std::string ProfileSummaryJson(const Profile& profile) {
   out += std::to_string(profile.dropped);
   out += ",\"truncated\":";
   out += std::to_string(profile.truncated);
+  std::snprintf(buf, sizeof(buf), ",\"cpu_seconds\":%.3f,\"effective_hz\":%.1f",
+                static_cast<double>(profile.cpu_ns) * 1e-9,
+                profile.EffectiveHz());
+  out += buf;
   out += ",\"spans\":";
   AppendCountsObject(&out, spans);
   out += ",\"phases\":";

@@ -4,6 +4,7 @@
 #include <signal.h>
 #include <time.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -153,6 +154,24 @@ std::string SlotKey(const SampleSlot& slot) {
   return key;
 }
 
+// One thread with a SIGPROF timer on its CPU clock. cpu_last only
+// grows and is re-read on every housekeeper tick, so a thread that
+// exits mid-capture keeps the CPU time it had at the last tick.
+struct ArmedThread {
+  int tid = 0;
+  timer_t timer{};
+  std::uint64_t cpu_start_ns = 0;
+  std::uint64_t cpu_last_ns = 0;
+};
+
+// CPU time `tid` has used so far; 0 once it has exited.
+std::uint64_t ThreadCpuNs(int tid) {
+  timespec ts{};
+  if (::clock_gettime(ThreadCpuClock(tid), &ts) != 0) return 0;
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
 // Everything the capture accumulates, guarded by g_mu (the handler
 // touches only the ring atomics above).
 struct CaptureState {
@@ -160,7 +179,7 @@ struct CaptureState {
   bool running = false;
   std::chrono::steady_clock::time_point started;
   std::thread housekeeper;
-  std::vector<std::pair<int, timer_t>> timers;  // tid -> armed timer
+  std::vector<ArmedThread> armed;
   std::map<std::string, std::uint64_t> aggregated;
   std::uint64_t samples = 0;
   std::uint64_t truncated = 0;
@@ -213,8 +232,8 @@ void ArmNewThreadsLocked(CaptureState& state) {
     if (ent->d_name[0] < '0' || ent->d_name[0] > '9') continue;
     const int tid = std::atoi(ent->d_name);
     bool armed = false;
-    for (const auto& [armed_tid, timer] : state.timers) {
-      if (armed_tid == tid) {
+    for (const ArmedThread& thread : state.armed) {
+      if (thread.tid == tid) {
         armed = true;
         break;
       }
@@ -239,9 +258,17 @@ void ArmNewThreadsLocked(CaptureState& state) {
       ::timer_delete(timer);
       continue;
     }
-    state.timers.emplace_back(tid, timer);
+    const std::uint64_t cpu_ns = ThreadCpuNs(tid);
+    state.armed.push_back({tid, timer, cpu_ns, cpu_ns});
   }
   ::closedir(dir);
+}
+
+// Refreshes every armed thread's CPU reading. Requires g_mu.
+void ReadArmedCpuLocked(CaptureState& state) {
+  for (ArmedThread& thread : state.armed) {
+    thread.cpu_last_ns = std::max(thread.cpu_last_ns, ThreadCpuNs(thread.tid));
+  }
 }
 
 // Folds every queued sample into the aggregation map. Requires g_mu.
@@ -272,6 +299,9 @@ Profile BuildProfileLocked(const CaptureState& state) {
           .count());
   profile.samples = state.samples;
   profile.truncated = state.truncated;
+  for (const ArmedThread& thread : state.armed) {
+    profile.cpu_ns += thread.cpu_last_ns - thread.cpu_start_ns;
+  }
   profile.dropped = g_unarmed_drops.load(std::memory_order_relaxed);
   const std::size_t count = g_ring_count.load(std::memory_order_acquire);
   for (std::size_t i = 0; i < count; ++i) {
@@ -313,6 +343,7 @@ void HousekeeperMain(int drain_period_ms) {
       CaptureState& state = State();
       if (state.running) {
         ArmNewThreadsLocked(state);
+        ReadArmedCpuLocked(state);
         DrainRingsLocked(state);
       }
     }
@@ -413,12 +444,11 @@ Profile Profiler::Stop() {
 
   std::lock_guard<std::mutex> lock(g_mu);
   CaptureState& state = State();
-  for (const auto& [tid, timer] : state.timers) {
-    ::timer_delete(timer);
-  }
-  state.timers.clear();
+  ReadArmedCpuLocked(state);
+  for (const ArmedThread& thread : state.armed) ::timer_delete(thread.timer);
   DrainRingsLocked(state);
   Profile profile = BuildProfileLocked(state);
+  state.armed.clear();
   state.running = false;
 
   static Counter& samples_counter =
@@ -439,6 +469,7 @@ std::string Profiler::SummaryJson() {
   std::lock_guard<std::mutex> lock(g_mu);
   CaptureState& state = State();
   if (state.running) {
+    ReadArmedCpuLocked(state);
     DrainRingsLocked(state);
     return ProfileSummaryJson(BuildProfileLocked(state));
   }

@@ -67,9 +67,17 @@ struct Profile {
   std::uint64_t samples = 0;      // aggregated into entries
   std::uint64_t dropped = 0;      // ring full or no ring armed yet
   std::uint64_t truncated = 0;    // stacks deeper than kMaxProfFrames
+  std::uint64_t cpu_ns = 0;       // summed CPU time of the armed threads
   std::vector<ProfileEntry> entries;
 
   bool empty() const { return entries.empty(); }
+  // Samples per CPU second actually taken: at most hz, lower when the
+  // kernel coalesced or skipped timer expirations. 0 without CPU time.
+  double EffectiveHz() const {
+    return cpu_ns == 0 ? 0.0
+                       : static_cast<double>(samples) * 1e9 /
+                             static_cast<double>(cpu_ns);
+  }
 };
 
 namespace internal {

@@ -146,6 +146,8 @@ std::string PoolSnapshotToJson(const PoolStatsSnapshot& pool) {
                      static_cast<double>(phase.wall_ns) * 1e-6);
     out += StrFormat(",\"busy_ms\":%.6f",
                      static_cast<double>(phase.busy_ns) * 1e-6);
+    out += StrFormat(",\"cpu_ms\":%.6f",
+                     static_cast<double>(phase.cpu_ns) * 1e-6);
     out += StrFormat(",\"speedup_bound\":%.3f", phase.SpeedupBound());
     out += StrFormat(",\"imbalance_pct\":%.1f", phase.ImbalancePercent());
     out += StrFormat(",\"caller_share\":%.3f", phase.CallerShare());
@@ -155,11 +157,12 @@ std::string PoolSnapshotToJson(const PoolStatsSnapshot& pool) {
       if (w > 0) out += ",";
       out += StrFormat(
           "{\"slot\":%d,\"caller\":%s,\"chunks\":%llu,\"items\":%llu,"
-          "\"busy_ms\":%.6f,\"wait_ms\":%.6f}",
+          "\"busy_ms\":%.6f,\"cpu_ms\":%.6f,\"wait_ms\":%.6f}",
           worker.slot, worker.caller ? "true" : "false",
           static_cast<unsigned long long>(worker.chunks),
           static_cast<unsigned long long>(worker.items),
           static_cast<double>(worker.busy_ns) * 1e-6,
+          static_cast<double>(worker.cpu_ns) * 1e-6,
           static_cast<double>(worker.wait_ns) * 1e-6);
     }
     out += "]}";
@@ -239,38 +242,34 @@ std::string RunReportToText(const RunReport& report) {
         h.sum / static_cast<double>(h.count), HistogramPercentile(h, 0.50),
         HistogramPercentile(h, 0.95), HistogramPercentile(h, 0.99));
   }
-  if (!report.pool.empty()) {
-    out += StrFormat("parallel: %-22s %9s %9s %8s %10s %7s\n", "phase",
-                     "wall", "busy", "speedup", "imbalance", "caller");
-    for (const PoolPhaseStats& phase : report.pool.phases) {
-      out += StrFormat(
-          "  %-30s %7.1fms %7.1fms %7.2fx %9.1f%% %6.1f%%\n",
-          phase.phase.empty() ? "(unlabeled)" : phase.phase.c_str(),
-          static_cast<double>(phase.wall_ns) * 1e-6,
-          static_cast<double>(phase.busy_ns) * 1e-6, phase.SpeedupBound(),
-          phase.ImbalancePercent(), 100.0 * phase.CallerShare());
-    }
-    if (report.pool.dropped_events > 0) {
-      out += StrFormat(
-          "  (%llu events dropped to ring wrap; totals undercount)\n",
-          static_cast<unsigned long long>(report.pool.dropped_events));
-    }
+  out += PoolSnapshotToText(report.pool);
+  return out;
+}
+
+std::string PoolSnapshotToText(const PoolStatsSnapshot& pool) {
+  if (pool.empty()) return "";
+  std::string out =
+      StrFormat("parallel: %-22s %9s %9s %9s %8s %10s %7s\n", "phase", "wall",
+                "busy", "cpu", "speedup", "imbalance", "caller");
+  for (const PoolPhaseStats& phase : pool.phases) {
+    out += StrFormat(
+        "  %-30s %7.1fms %7.1fms %7.1fms %7.2fx %9.1f%% %6.1f%%\n",
+        phase.phase.empty() ? "(unlabeled)" : phase.phase.c_str(),
+        static_cast<double>(phase.wall_ns) * 1e-6,
+        static_cast<double>(phase.busy_ns) * 1e-6,
+        static_cast<double>(phase.cpu_ns) * 1e-6, phase.SpeedupBound(),
+        phase.ImbalancePercent(), 100.0 * phase.CallerShare());
+  }
+  if (pool.dropped_events > 0) {
+    out += StrFormat(
+        "  (%llu events dropped to ring wrap; totals undercount)\n",
+        static_cast<unsigned long long>(pool.dropped_events));
   }
   return out;
 }
 
 Status WriteRunReportJson(const RunReport& report, const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  const std::string json = RunReportToJson(report);
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  const bool flushed = std::fputc('\n', file) != EOF;
-  if (std::fclose(file) != 0 || written != json.size() || !flushed) {
-    return Status::IoError("short write to " + path);
-  }
-  return Status::Ok();
+  return WriteJsonFile(RunReportToJson(report), path);
 }
 
 }  // namespace dd::obs

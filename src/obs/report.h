@@ -14,19 +14,21 @@
 //                                                 {"le": "inf", "count": 0}],
 //                                     "count": 2, "sum": 0.3}, ...}},
 //    "parallel": {"phases": [{"phase": "...", "invocations": N,
-//                             "wall_ms": W, "busy_ms": B,
+//                             "wall_ms": W, "busy_ms": B, "cpu_ms": C,
 //                             "speedup_bound": S, "imbalance_pct": I,
 //                             "caller_share": C,
 //                             "workers": [{"slot": 0, "caller": true,
 //                                          "chunks": n, "items": m,
-//                                          "busy_ms": b, "wait_ms": w},
+//                                          "busy_ms": b, "cpu_ms": c,
+//                                          "wait_ms": w},
 //                                         ...]}, ...],
 //                 "dropped_events": 0},
 //    "profile": {"hz": 99, "duration_seconds": 1.2, "samples": N,
-//                "dropped": 0, "truncated": 0, "spans": {...},
+//                "dropped": 0, "truncated": 0, "cpu_seconds": 1.1,
+//                "effective_hz": 97.0, "spans": {...},
 //                "phases": {...}, "functions": [...]}}
 // The "parallel" key appears only when the pool-stats collector
-// (obs/pool_stats.h) recorded at least one phase; "profile" only when
+// (obs/pool_stats.h) read at least one phase from the event rings; "profile" only when
 // the sampling profiler (obs/prof) has captured samples this run.
 
 #ifndef DD_OBS_REPORT_H_
@@ -67,8 +69,12 @@ std::string PoolSnapshotToJson(const PoolStatsSnapshot& pool);
 std::string RunReportToJson(const RunReport& report);
 
 // Human-readable indented span tree with counts, totals and self-time
-// percentages, followed by non-zero metrics.
+// percentages, followed by non-zero metrics and the parallel section.
 std::string RunReportToText(const RunReport& report);
+
+// The parallel section as a text table: per phase wall, busy (wall
+// time inside chunks) and CPU time inside chunks; "" when empty.
+std::string PoolSnapshotToText(const PoolStatsSnapshot& pool);
 
 // Serializes `report` as JSON into `path` (overwrites).
 Status WriteRunReportJson(const RunReport& report, const std::string& path);

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "obs/diag/flight_recorder.h"
+#include "obs/diag/sigsafe.h"
 
 namespace dd::obs {
 
@@ -104,53 +105,55 @@ void Tracer::Reset() {
   tl_generation_ = generation_.load(std::memory_order_relaxed);
 }
 
-TraceSpan::TraceSpan(const char* name) {
+TraceSpan::TraceSpan(const char* name) : name_(name) {
   prev_published_ = tl_span_name;
   tl_span_name = name;
   // Spans mirror into the diag flight recorder independently of the
   // tracer toggle: crash dumps want the last phases even when the
   // aggregating tracer is off.
-  if (diag::FlightRecorderEnabled()) {
-    diag::FlightRecord(diag::EventType::kSpanBegin, name);
-    name_ = name;
-    flight_ = true;
-    start_ = std::chrono::steady_clock::now();
-  }
+  flight_ = diag::FlightRecorderEnabled();
   Tracer& tracer = Tracer::Global();
-  if (!tracer.enabled()) return;
-  const std::uint64_t generation =
-      tracer.generation_.load(std::memory_order_relaxed);
-  if (Tracer::tl_generation_ != generation) {
-    Tracer::tl_current_ = nullptr;
-    Tracer::tl_generation_ = generation;
+  if (tracer.enabled()) {
+    const std::uint64_t generation =
+        tracer.generation_.load(std::memory_order_relaxed);
+    if (Tracer::tl_generation_ != generation) {
+      Tracer::tl_current_ = nullptr;
+      Tracer::tl_generation_ = generation;
+    }
+    Tracer::Node* parent = Tracer::tl_current_ != nullptr
+                               ? Tracer::tl_current_
+                               : tracer.root_.get();
+    node_ = tracer.ChildOf(parent, name);
+    parent_ = Tracer::tl_current_;
+    Tracer::tl_current_ = node_;
   }
-  Tracer::Node* parent =
-      Tracer::tl_current_ != nullptr ? Tracer::tl_current_ : tracer.root_.get();
-  node_ = tracer.ChildOf(parent, name);
-  parent_ = Tracer::tl_current_;
-  Tracer::tl_current_ = node_;
-  start_ = std::chrono::steady_clock::now();
+  if (!flight_ && node_ == nullptr) return;
+  // One clock read per boundary, shared by the tracer and the ring, so
+  // exported begin/end pairs nest exactly.
+  start_ns_ = diag::SigsafeNowNs();
+  if (flight_) {
+    diag::internal::Append({.t_ns = start_ns_,
+                            .name = name,
+                            .type = diag::EventType::kSpanBegin},
+                           /*args=*/0);
+  }
 }
 
 TraceSpan::~TraceSpan() {
   tl_span_name = prev_published_;
+  if (!flight_ && node_ == nullptr) return;
+  const std::uint64_t end_ns = diag::SigsafeNowNs();
+  const std::uint64_t elapsed = end_ns - start_ns_;
   if (flight_) {
-    const auto flight_elapsed = std::chrono::steady_clock::now() - start_;
-    diag::FlightRecord(
-        diag::EventType::kSpanEnd, name_,
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                flight_elapsed)
-                .count()));
+    diag::internal::Append({.t_ns = end_ns,
+                            .name = name_,
+                            .type = diag::EventType::kSpanEnd,
+                            .arg = {elapsed}},
+                           /*args=*/1);
   }
   if (node_ == nullptr) return;
-  const auto elapsed = std::chrono::steady_clock::now() - start_;
   node_->count.fetch_add(1, std::memory_order_relaxed);
-  node_->total_ns.fetch_add(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()),
-      std::memory_order_relaxed);
+  node_->total_ns.fetch_add(elapsed, std::memory_order_relaxed);
   Tracer& tracer = Tracer::Global();
   if (Tracer::tl_generation_ ==
       tracer.generation_.load(std::memory_order_relaxed)) {

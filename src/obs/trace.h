@@ -20,7 +20,6 @@
 #define DD_OBS_TRACE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -104,7 +103,7 @@ class TraceSpan {
  private:
   Tracer::Node* node_ = nullptr;  // nullptr when tracing is disabled.
   Tracer::Node* parent_ = nullptr;
-  std::chrono::steady_clock::time_point start_;
+  std::uint64_t start_ns_ = 0;    // CLOCK_MONOTONIC, read once per span
   // Flight-recorder mirror (diag): set when the span recorded a begin
   // event, so the end event pairs up even if the recorder toggles
   // mid-span or the tracer itself is disabled.

@@ -118,15 +118,15 @@ TEST(SigsafeTest, ClockAndRssAreLive) {
 
 TEST(FlightRecorderTest, DisabledRecordsNothing) {
   FlightRecorder::Disable();
-  FlightRecorder::ResetForTest();
+  FlightRecorder::Reset();
   EXPECT_FALSE(FlightRecorderEnabled());
   FlightRecord(EventType::kCustom, "ignored", 1, 2);
   EXPECT_EQ(FlightRecorder::TotalRecorded(), 0u);
 }
 
 TEST(FlightRecorderTest, RecordsEventsInOrderWithArgs) {
-  FlightRecorder::Enable(64);
-  FlightRecorder::ResetForTest();
+  FlightRecorder::Enable();
+  FlightRecorder::Reset();
   FlightRecord(EventType::kBatch, "batch", 7, 3);
   FlightRecord(EventType::kDetermined, "determine", 5, 0);
   FlightRecord(EventType::kCustom, "a-very-long-event-name", 1, 2);
@@ -155,12 +155,11 @@ TEST(FlightRecorderTest, RecordsEventsInOrderWithArgs) {
 
 TEST(FlightRecorderTest, RingOverwritesOldestAndKeepsNewest) {
   FlightRecorder::Disable();
-  FlightRecorder::Enable(16);
-  FlightRecorder::ResetForTest();
-  // This thread's ring may have been created earlier with a bigger
-  // capacity; record from a fresh thread so capacity=16 applies.
+  FlightRecorder::Enable();
+  FlightRecorder::Reset();
+  // Record from a fresh thread so its ring holds only these events.
   std::thread recorder([] {
-    for (std::uint64_t i = 0; i < 40; ++i) {
+    for (std::uint64_t i = 0; i < kRingCapacity + 24; ++i) {
       FlightRecord(EventType::kCustom, "spin", i, 0);
     }
   });
@@ -168,11 +167,12 @@ TEST(FlightRecorderTest, RingOverwritesOldestAndKeepsNewest) {
 
   bool found = false;
   for (const auto& thread : FlightRecorder::Snapshot()) {
-    if (thread.recorded != 40) continue;
+    if (thread.recorded != kRingCapacity + 24) continue;
     found = true;
-    EXPECT_LE(thread.events.size(), 16u);
+    EXPECT_LE(thread.events.size(), kRingCapacity);
     ASSERT_FALSE(thread.events.empty());
-    EXPECT_EQ(thread.events.back().arg0, 39u);  // Newest survives.
+    // Newest survives.
+    EXPECT_EQ(thread.events.back().arg0, kRingCapacity + 23);
     EXPECT_GE(thread.events.front().arg0, 24u);  // Oldest overwritten.
     for (std::size_t i = 1; i < thread.events.size(); ++i) {
       EXPECT_EQ(thread.events[i].seq, thread.events[i - 1].seq + 1);

@@ -12,14 +12,17 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/parallel.h"
+#include "obs/diag/flight_recorder.h"
 #include "obs/export/chrome_trace.h"
 #include "obs/export/http_server.h"
 #include "obs/export/prometheus.h"
@@ -167,85 +170,191 @@ TEST(HistogramPercentile, SingleOverflowBucketClampsToLastBound) {
 // --------------------------------------------------------------------
 // Chrome trace export
 
-TEST(ChromeTrace, GoldenSingleRoot) {
-  obs::TraceSnapshot trace;
-  obs::SpanStats child;
-  child.name = "search";
-  child.count = 2;
-  child.total_seconds = 0.001;  // 1000 us.
-  child.self_seconds = 0.001;
-  obs::SpanStats root;
-  root.name = "determine";
-  root.count = 1;
-  root.total_seconds = 0.0025;  // 2500 us.
-  root.self_seconds = 0.0015;
-  root.children.push_back(child);
-  trace.roots.push_back(root);
+// The exporter renders the flight-recorder rings, so every test turns
+// recording on, starts from a logically empty ring, and parses the
+// complete ("X") events back out of the document.
+struct ChromeSpan {
+  std::string name;
+  std::string cat;
+  int tid = 0;
+  double ts = 0.0;
+  double dur = 0.0;
+  double end() const { return ts + dur; }
+};
 
-  const std::string expected =
-      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-      "\"args\":{\"name\":\"ddthreshold\"}},"
-      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,"
-      "\"args\":{\"name\":\"determine\"}},"
-      "{\"name\":\"determine\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
-      "\"ts\":0.000,\"dur\":2500.000,"
-      "\"args\":{\"count\":1,\"self_ms\":1.500000}},"
-      "{\"name\":\"search\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
-      "\"ts\":0.000,\"dur\":1000.000,"
-      "\"args\":{\"count\":2,\"self_ms\":1.000000}}"
-      "]}";
-  EXPECT_EQ(obs::TraceSnapshotToChromeTrace(trace), expected);
+std::vector<ChromeSpan> CompleteEvents(const std::string& json) {
+  static const std::regex kEvent(
+      "\\{\"name\":\"([^\"]*)\",\"cat\":\"([a-z_]+)\",\"pid\":1,"
+      "\"tid\":([0-9]+),\"ts\":([0-9.]+),\"ph\":\"X\",\"dur\":([0-9.]+)");
+  std::vector<ChromeSpan> events;
+  for (std::sregex_iterator it(json.begin(), json.end(), kEvent), last;
+       it != last; ++it) {
+    ChromeSpan span;
+    span.name = (*it)[1];
+    span.cat = (*it)[2];
+    span.tid = std::stoi((*it)[3]);
+    span.ts = std::stod((*it)[4]);
+    span.dur = std::stod((*it)[5]);
+    events.push_back(span);
+  }
+  return events;
 }
 
-TEST(ChromeTrace, SiblingsLaidOutBackToBack) {
-  obs::TraceSnapshot trace;
-  obs::SpanStats a, b, root;
-  a.name = "a";
-  a.total_seconds = 0.001;
-  b.name = "b";
-  b.total_seconds = 0.002;
-  root.name = "root";
-  root.total_seconds = 0.004;
-  root.children = {a, b};
-  trace.roots.push_back(root);
+const ChromeSpan* FindEvent(const std::vector<ChromeSpan>& events,
+                            const std::string& name) {
+  for (const ChromeSpan& event : events) {
+    if (event.name == name) return &event;
+  }
+  return nullptr;
+}
 
-  const std::string json = obs::TraceSnapshotToChromeTrace(trace);
-  EXPECT_TRUE(testutil::JsonChecker(json).Valid()) << json;
-  // b starts where a ends (1000 us into the parent interval).
-  EXPECT_NE(json.find("\"name\":\"b\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
-                      "\"ts\":1000.000,\"dur\":2000.000"),
-            std::string::npos)
+// Timestamps print with 1 ns resolution; allow that much rounding.
+constexpr double kTsSlackUs = 0.002;
+
+class ChromeTrace : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    obs::diag::FlightRecorder::Enable();
+    obs::diag::FlightRecorder::Reset();
+  }
+  void TearDown() override { obs::diag::FlightRecorder::Disable(); }
+};
+
+TEST_F(ChromeTrace, NestedSpansNestInTimeOnOneTid) {
+  {
+    obs::TraceSpan outer("chrome_outer");
+    {
+      obs::TraceSpan inner("chrome_inner");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::string json = obs::ChromeTraceJson();
+  ASSERT_TRUE(testutil::JsonChecker(json).Valid()) << json;
+  const auto events = CompleteEvents(json);
+  const ChromeSpan* outer = FindEvent(events, "chrome_outer");
+  const ChromeSpan* inner = FindEvent(events, "chrome_inner");
+  ASSERT_NE(outer, nullptr) << json;
+  ASSERT_NE(inner, nullptr) << json;
+  EXPECT_EQ(outer->cat, "span_end");
+  EXPECT_EQ(outer->tid, inner->tid);
+  EXPECT_GE(inner->ts + kTsSlackUs, outer->ts);
+  EXPECT_LE(inner->end(), outer->end() + kTsSlackUs);
+  // Real timestamps, not a layout: the inner span slept >= 2 ms and the
+  // outer one ran >= 1 ms past it.
+  EXPECT_GE(inner->dur, 2000.0);
+  EXPECT_GE(outer->end() - inner->end(), 1000.0);
+}
+
+TEST_F(ChromeTrace, WorkerThreadSpansGetTheirOwnTid) {
+  { obs::TraceSpan span("chrome_main"); }
+  std::thread worker([] { obs::TraceSpan span("chrome_worker"); });
+  worker.join();
+  const std::string json = obs::ChromeTraceJson();
+  ASSERT_TRUE(testutil::JsonChecker(json).Valid()) << json;
+  const auto events = CompleteEvents(json);
+  const ChromeSpan* main_span = FindEvent(events, "chrome_main");
+  const ChromeSpan* worker_span = FindEvent(events, "chrome_worker");
+  ASSERT_NE(main_span, nullptr) << json;
+  ASSERT_NE(worker_span, nullptr) << json;
+  EXPECT_NE(main_span->tid, worker_span->tid);
+  // Both tracks are named.
+  for (const int tid : {main_span->tid, worker_span->tid}) {
+    EXPECT_NE(json.find("\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
+                        "\"tid\":" + std::to_string(tid) + ","),
+              std::string::npos)
+        << json;
+  }
+}
+
+TEST_F(ChromeTrace, PoolChunksFallInsideEnclosingParallelForSpan) {
+  std::atomic<std::uint64_t> sink{0};
+  {
+    obs::TraceSpan span("chrome_parallel");
+    ParallelFor("chrome_test.phase", 64, 4,
+                [&](std::size_t, std::size_t begin, std::size_t end) {
+                  std::uint64_t local = 0;
+                  for (std::size_t i = begin; i < end; ++i) {
+                    for (std::uint64_t k = 0; k < 20000; ++k) local += i ^ k;
+                  }
+                  sink += local;
+                });
+  }
+  const std::string json = obs::ChromeTraceJson();
+  ASSERT_TRUE(testutil::JsonChecker(json).Valid()) << json;
+  const auto events = CompleteEvents(json);
+  const ChromeSpan* span = FindEvent(events, "chrome_parallel");
+  ASSERT_NE(span, nullptr) << json;
+  std::size_t chunks = 0;
+  std::size_t invocations = 0;
+  for (const ChromeSpan& event : events) {
+    if (event.name != "chrome_test.phase") continue;
+    if (event.cat == "pool_chunk") ++chunks;
+    if (event.cat == "pool_invocation") ++invocations;
+    EXPECT_GE(event.ts + kTsSlackUs, span->ts) << event.cat;
+    EXPECT_LE(event.end(), span->end() + kTsSlackUs) << event.cat;
+  }
+  EXPECT_EQ(chunks, EffectiveChunks(64, 4));
+  EXPECT_EQ(invocations, 1u);
+}
+
+TEST_F(ChromeTrace, LongPhaseAndSpanNamesSurvive) {
+  // Both names share their first 15 characters with a sibling, so a
+  // truncating copy would merge them.
+  ParallelFor("matching_build.sampled", 8, 2,
+              [](std::size_t, std::size_t, std::size_t) {});
+  ParallelFor("matching_build.pairs", 8, 2,
+              [](std::size_t, std::size_t, std::size_t) {});
+  { obs::TraceSpan span("chrome_span_with_a_long_name"); }
+  const std::string json = obs::ChromeTraceJson();
+  ASSERT_TRUE(testutil::JsonChecker(json).Valid()) << json;
+  const auto events = CompleteEvents(json);
+  EXPECT_NE(FindEvent(events, "matching_build.sampled"), nullptr) << json;
+  EXPECT_NE(FindEvent(events, "matching_build.pairs"), nullptr) << json;
+  EXPECT_NE(FindEvent(events, "chrome_span_with_a_long_name"), nullptr)
       << json;
 }
 
-TEST(ChromeTrace, RealTracerSnapshotIsValidJson) {
+TEST_F(ChromeTrace, DroppedEventsReported) {
+  std::thread recorder([] {
+    for (std::size_t i = 0; i < obs::diag::kRingCapacity + 10; ++i) {
+      obs::diag::FlightRecord(obs::diag::EventType::kCustom, "chrome_flood",
+                              i, 0);
+    }
+  });
+  recorder.join();
+  const std::string json = obs::ChromeTraceJson();
+  ASSERT_TRUE(testutil::JsonChecker(json).Valid());
+  EXPECT_NE(json.find("\"otherData\":{\"dropped_events\":10}"),
+            std::string::npos)
+      << json.substr(0, 200);
+  // The retained window is still exported, as thread-scoped instants.
+  EXPECT_NE(json.find("\"name\":\"chrome_flood\",\"cat\":\"custom\""),
+            std::string::npos);
+}
+
+TEST_F(ChromeTrace, RealTracerSnapshotIsValidJson) {
   obs::Tracer::Global().Reset();
   obs::Tracer::Global().set_enabled(true);
   {
     obs::TraceSpan outer("export_outer");
     obs::TraceSpan inner("export_inner \"quoted\"");
   }
-  // Worker spans become separate roots / tracks.
+  // Worker spans land on their own threads' tracks.
   ParallelFor(16, 4, [](std::size_t, std::size_t, std::size_t) {
     obs::TraceSpan span("export_worker");
   });
-  const std::string json =
-      obs::TraceSnapshotToChromeTrace(obs::Tracer::Global().Snapshot());
+  const std::string json = obs::ChromeTraceJson();
   EXPECT_TRUE(testutil::JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("export_outer"), std::string::npos);
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
   obs::Tracer::Global().Reset();
 }
 
-TEST(ChromeTrace, WriteToFile) {
-  obs::TraceSnapshot trace;
-  obs::SpanStats root;
-  root.name = "write_test";
-  root.total_seconds = 0.001;
-  trace.roots.push_back(root);
+TEST_F(ChromeTrace, WriteToFile) {
+  { obs::TraceSpan span("write_test"); }
   const std::string path = ::testing::TempDir() + "/chrome_trace_test.json";
-  ASSERT_TRUE(obs::WriteChromeTrace(trace, path).ok());
+  ASSERT_TRUE(obs::WriteChromeTrace(path).ok());
   std::FILE* file = std::fopen(path.c_str(), "r");
   ASSERT_NE(file, nullptr);
   std::string contents;

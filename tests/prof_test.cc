@@ -124,6 +124,24 @@ TEST(ProfilerTest, SpinLoopSamplesAttributeToSpanAndLeaf) {
                               << obs::prof::FoldedToString(folded);
 }
 
+TEST(ProfilerTest, EffectiveRateBoundedByRequestedHz) {
+  ProfilerOptions options;
+  options.hz = 199;
+  ASSERT_TRUE(Profiler::Global().Start(options).ok());
+  volatile std::uint64_t sink = SpinFor(400);
+  (void)sink;
+  const Profile profile = Profiler::Global().Stop();
+
+  // The armed threads' CPU clocks saw the spin (loosely: a loaded
+  // host may deschedule the spinning thread for part of its 400 ms).
+  EXPECT_GE(profile.cpu_ns, 100000000u);
+  // A CPU-time timer fires at most once per period of CPU time; allow
+  // one extra expiration per armed thread as rounding.
+  EXPECT_GT(profile.EffectiveHz(), 0.0);
+  EXPECT_LE(profile.EffectiveHz(), options.hz * 1.15)
+      << "samples=" << profile.samples << " cpu_ns=" << profile.cpu_ns;
+}
+
 TEST(ProfilerTest, FullRingDropsAndCounts) {
   ProfilerOptions options;
   options.hz = 997;

@@ -92,17 +92,20 @@
 //   --run_id ID          correlation id stamped on feed lines and
 //                        sampler frames (default: derived from clock
 //                        and pid)
-//   --chrome_trace f.json  write the span tree as Chrome trace-event
-//                        JSON (load in Perfetto / chrome://tracing);
-//                        with pool stats on, pooled phases get real
-//                        per-worker-slot tracks from the chunk timeline
-//   --pool_stats         record per-worker pool execution stats (chunk
-//                        counts, busy/wait time) even without other
-//                        telemetry flags; any of --chrome_trace,
-//                        --trace_json, --metrics_port, --series turns
-//                        the collector on implicitly. Surfaces as
-//                        pool.* metrics, the run report's "parallel"
-//                        section, and worker tracks in the trace.
+//   --chrome_trace f.json  write the recorded events as Chrome
+//                        trace-event JSON (load in Perfetto /
+//                        chrome://tracing): one track per thread, spans
+//                        and pool chunks at their measured begin/end
+//                        times, dropped events in "otherData"
+//   --pool_stats         record events (spans, pool chunks, instants)
+//                        into the per-thread flight-recorder rings even
+//                        without other telemetry flags; any of
+//                        --chrome_trace, --trace_json, --metrics_port,
+//                        --series, --diag_dir turns recording on too.
+//                        Pool chunk counts, busy (wall inside chunks),
+//                        CPU and wait time surface as pool.* metrics,
+//                        the run report's "parallel" section and
+//                        --print_stats.
 //   --profile            run the subcommand under the sampling CPU
 //                        profiler (src/obs/prof): per-thread SIGPROF
 //                        timers, stacks tagged with the active trace
@@ -272,15 +275,12 @@ dd::Status MaybeWriteTraceReport(const dd::ArgParser& args,
   return dd::Status::Ok();
 }
 
-// Writes the span tree as Chrome trace-event JSON when --chrome_trace
-// was given. The pool-stats snapshot rides along so pooled phases get
-// real per-worker-slot tracks (empty snapshot -> span tracks only).
+// Writes the recorded events as Chrome trace-event JSON when
+// --chrome_trace was given.
 dd::Status MaybeWriteChromeTrace(const dd::ArgParser& args) {
   const std::string path = args.GetString("chrome_trace");
   if (path.empty()) return dd::Status::Ok();
-  DD_RETURN_IF_ERROR(dd::obs::WriteChromeTrace(
-      dd::obs::Tracer::Global().Snapshot(),
-      dd::obs::PoolStatsCollector::Global().Snapshot(), path));
+  DD_RETURN_IF_ERROR(dd::obs::WriteChromeTrace(path));
   std::fprintf(stderr, "wrote chrome trace to %s\n", path.c_str());
   return dd::Status::Ok();
 }
@@ -352,6 +352,10 @@ void PrintSearchStats(const dd::DetermineResult& result) {
               static_cast<unsigned long long>(p.xy_evaluations));
   std::fprintf(stderr, "  provider rows scanned      %llu\n",
               static_cast<unsigned long long>(p.rows_scanned));
+  std::fputs(dd::obs::PoolSnapshotToText(
+                 dd::obs::PoolStatsCollector::Global().Snapshot())
+                 .c_str(),
+             stderr);
 }
 
 // Parses "4,2->3,1" into a Pattern with the given arities.
@@ -1370,14 +1374,15 @@ int main(int argc, char** argv) {
     }
     dd::simd::SetSimdMode(mode);
   }
-  // Pool-stats recording turns on whenever the run produces an
+  // Event recording (the flight recorder's one switch: spans, pool
+  // chunks, instants) turns on whenever the run produces an
   // observability artifact that can surface it (--pool_stats forces it
-  // on regardless). Recording never perturbs chunking, so results stay
-  // bit-identical with the collector on or off.
+  // on regardless; --diag_dir turns it on below). Recording never
+  // perturbs chunking, so results stay bit-identical with it on or off.
   if (args.Has("pool_stats") || args.Has("chrome_trace") ||
       args.Has("trace_json") || args.Has("metrics_port") ||
       args.Has("series")) {
-    dd::obs::PoolStatsCollector::Global().Enable();
+    dd::obs::diag::FlightRecorder::Enable();
   }
   // --diag_dir arms crash/stall diagnostics for any subcommand: fatal
   // signal handlers, the watchdog, the flight recorder, and SIGUSR2
@@ -1443,11 +1448,14 @@ int main(int argc, char** argv) {
     }
     if (!written.ok()) return Fail(written);
     std::fprintf(stderr,
-                 "profile: %llu samples (%llu dropped) at %d Hz -> "
-                 "%s.folded, %s.json\n",
+                 "profile: %llu samples (%llu dropped) over %.3f CPU s, "
+                 "effective %.1f Hz of %d Hz requested -> %s.folded, "
+                 "%s.json\n",
                  static_cast<unsigned long long>(captured.samples),
                  static_cast<unsigned long long>(captured.dropped),
-                 captured.hz, prefix.c_str(), prefix.c_str());
+                 static_cast<double>(captured.cpu_ns) * 1e-9,
+                 captured.EffectiveHz(), captured.hz, prefix.c_str(),
+                 prefix.c_str());
   }
   return rc;
 }
