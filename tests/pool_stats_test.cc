@@ -17,6 +17,9 @@
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "matching/builder.h"
+#include "obs/diag/flight_recorder.h"
+#include "obs/export/chrome_trace.h"
+#include "obs/report.h"
 
 namespace dd {
 namespace {
@@ -231,6 +234,43 @@ TEST(PoolStatsTest, DeterminationOutputByteIdenticalWithStatsOn) {
   EXPECT_EQ(off_json, on_json);
   // And the run actually recorded pooled work.
   EXPECT_FALSE(snapshot.empty());
+}
+
+// What `ddtool determine --trace_json` records for a 3-attribute LHS
+// (paper Rule 4) at dmax 10: the calling thread opens two spans per LHS
+// candidate on top of its pool chunks, and the ring must still hold the
+// whole run, or the report's "parallel" section and the Chrome trace
+// undercount.
+TEST(PoolStatsTest, ThreeAttributeLhsDeterminationDropsNoEvents) {
+  CiteseerOptions gopts;
+  gopts.num_entities = 60;
+  const GeneratedData data = GenerateCiteseer(gopts);
+  const RuleSpec rule{{"address", "affiliation", "description"}, {"subject"}};
+  MatchingOptions mopts;
+  mopts.dmax = 10;
+  mopts.max_pairs = 4000;
+  DetermineOptions dopts;
+  dopts.threads = 4;
+
+  obs::diag::FlightRecorder::Enable();
+  obs::diag::FlightRecorder::Reset();
+  auto matching =
+      BuildMatchingRelation(data.relation, rule.AllAttributes(), mopts);
+  ASSERT_TRUE(matching.ok()) << matching.status().ToString();
+  auto result = DetermineThresholds(*matching, rule, dopts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const obs::RunReport report = obs::CaptureRunReport("rule4");
+  const std::string chrome = obs::ChromeTraceJson();
+  const std::uint64_t recorded = obs::diag::FlightRecorder::TotalRecorded();
+  obs::diag::FlightRecorder::Disable();
+
+  // 11^3 LHS candidates, two spans each.
+  EXPECT_GT(recorded, 4u * 1331u);
+  EXPECT_FALSE(report.pool.empty());
+  EXPECT_EQ(report.pool.dropped_events, 0u);
+  EXPECT_NE(obs::RunReportToJson(report).find("\"dropped_events\":0}"),
+            std::string::npos);
+  EXPECT_NE(chrome.find("\"dropped_events\":0}"), std::string::npos);
 }
 
 }  // namespace
